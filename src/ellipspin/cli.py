@@ -16,7 +16,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,16 +102,23 @@ def _read_pairs(path: str) -> dict[str, tuple[str, int, int]]:
     return pairs
 
 
+def _number(key: str, text: str, line: int, col: int) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise ConfigError(f"{key!r} is not a number: {text!r}", line, col)
+    if not math.isfinite(x):
+        raise ConfigError(f"{key!r} must be finite, got {text!r}", line, col)
+    return x
+
+
 def _parse_float(pairs, key, default=None):
     if key not in pairs:
         if default is None:
             raise ConfigError(f"missing required key {key!r}")
         return default
     value, line, col = pairs[key]
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key!r} is not a number: {value!r}", line, col)
+    return _number(key, value, line, col)
 
 
 def _parse_float_list(pairs, key, default=None):
@@ -121,14 +127,7 @@ def _parse_float_list(pairs, key, default=None):
             raise ConfigError(f"missing required key {key!r}")
         return default
     value, line, col = pairs[key]
-    out = []
-    for part in value.split(","):
-        part = part.strip()
-        try:
-            out.append(float(part))
-        except ValueError:
-            raise ConfigError(f"{key!r} has a non-numeric entry: {part!r}", line, col)
-    return out
+    return [_number(key, part.strip(), line, col) for part in value.split(",")]
 
 
 def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
@@ -314,15 +313,6 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
     return EXIT_OK
 
 
-def _sweep_workers(n_tasks: int) -> int:
-    env = os.environ.get("ELLIPSPIN_THREADS", "")
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
-
 def cmd_sweep(config_path: str, output: str | None) -> int:
     try:
         scenario = load_scenario(config_path, allow_grids=True)
@@ -344,16 +334,11 @@ def cmd_sweep(config_path: str, output: str | None) -> int:
         return EXIT_CONFIG
 
     taus = np.linspace(0.0, scenario.tau_max, scenario.n_samples)
-
-    def one(point):
-        k, d, h = point
-        params = sd.SimParams.from_detuning(h, d, k)
-        traj = sd.evolve(scenario.initial, params, taus, tol=scenario.tol)
-        return traj.p_flip
-
     try:
-        with ThreadPoolExecutor(max_workers=_sweep_workers(len(grid))) as pool:
-            all_pflip = list(pool.map(one, grid))
+        all_pflip = []
+        for k, d, h in grid:
+            params = sd.SimParams.from_detuning(h, d, k)
+            all_pflip.append(sd.evolve(scenario.initial, params, taus, tol=scenario.tol).p_flip)
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

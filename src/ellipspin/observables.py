@@ -56,17 +56,8 @@ class InvariantResiduals:
 
 
 def polarization(state: sd.SpinState) -> Polarization:
-    """Polarization vector of a pure state.
-
-    px = 2 Re(psi1* psi2), py = 2 Im(psi1* psi2), pz = |psi1|^2 - |psi2|^2;
-    the sign of py follows the standard Pauli sigma_y convention.
-    """
-    cross = state.psi1.conjugate() * state.psi2
-    return Polarization(
-        px=2.0 * cross.real,
-        py=2.0 * cross.imag,
-        pz=abs(state.psi1) ** 2 - abs(state.psi2) ** 2,
-    )
+    """Polarization vector of a pure state (see `spin_dynamics.pauli_expectation`)."""
+    return Polarization(*sd.pauli_expectation(state.psi1, state.psi2))
 
 
 def reduced_field(tau: float, params: sd.SimParams) -> tuple[float, float, float]:
@@ -94,69 +85,31 @@ def resonance_polarization(tau: float, params: sd.SimParams) -> Polarization:
 
 
 def bloch_residual(traj: sd.Trajectory, params: sd.SimParams) -> float:
-    """Max finite-difference residual of dP/dtau = B(tau) x P over a trajectory.
-
-    Central differences on the interior samples; the trajectory must be
-    uniformly spaced with at least three samples.  The bracket in the
-    Bloch equation is read as the vector cross product, a convention this
-    residual validates against the Schrodinger evolution.
-    """
-    n = len(traj)
-    if n < 3:
-        raise DomainError(f"need at least 3 samples for central differences, got {n}")
-    steps = np.diff(traj.taus)
-    step = steps[0]
-    if not np.allclose(steps, step, rtol=1e-9, atol=0.0):
-        raise DomainError("trajectory samples must be uniformly spaced")
-
-    pol = traj.polarization
-    dp = (pol[2:] - pol[:-2]) / (2.0 * step)
-    worst = 0.0
-    for i in range(1, n - 1):
-        b = reduced_field(traj.taus[i], params)
-        p = pol[i]
-        cross = (
-            b[1] * p[2] - b[2] * p[1],
-            b[2] * p[0] - b[0] * p[2],
-            b[0] * p[1] - b[1] * p[0],
-        )
-        r = math.sqrt(
-            (dp[i - 1, 0] - cross[0]) ** 2
-            + (dp[i - 1, 1] - cross[1]) ** 2
-            + (dp[i - 1, 2] - cross[2]) ** 2
-        )
-        worst = max(worst, r)
-    return worst
+    """Max finite-difference residual of dP/dtau = B(tau) x P over a trajectory."""
+    return bloch_residual_of_samples(traj.taus, traj.polarization, params)
 
 
 def bloch_residual_of_samples(
     taus: np.ndarray, pol: np.ndarray, params: sd.SimParams
 ) -> float:
-    """Same residual as `bloch_residual` for bare (tau, polarization) arrays.
+    """Max finite-difference residual of dP/dtau = B(tau) x P on samples.
 
-    Lets closed-form polarization samples be checked without constructing
-    a full trajectory.
+    Central differences on the interior samples; the samples must be
+    uniformly spaced and at least three.  The bracket in the Bloch
+    equation is read as the vector cross product, a convention this
+    residual validates against the Schrodinger evolution.  Bare arrays
+    let closed-form polarization samples be checked without a trajectory.
     """
-    if len(taus) < 3:
-        raise DomainError("need at least 3 samples for central differences")
+    n = len(taus)
+    if n < 3:
+        raise DomainError(f"need at least 3 samples for central differences, got {n}")
     steps = np.diff(taus)
     step = steps[0]
     if not np.allclose(steps, step, rtol=1e-9, atol=0.0):
         raise DomainError("samples must be uniformly spaced")
-    worst = 0.0
-    for i in range(1, len(taus) - 1):
-        b = reduced_field(taus[i], params)
-        p = pol[i]
-        dp = (pol[i + 1] - pol[i - 1]) / (2.0 * step)
-        cross = np.array(
-            [
-                b[1] * p[2] - b[2] * p[1],
-                b[2] * p[0] - b[0] * p[2],
-                b[0] * p[1] - b[1] * p[0],
-            ]
-        )
-        worst = max(worst, float(np.linalg.norm(dp - cross)))
-    return worst
+    dp = (pol[2:] - pol[:-2]) / (2.0 * step)
+    field = np.array([reduced_field(float(t), params) for t in taus[1:-1]])
+    return float(np.max(np.linalg.norm(dp - np.cross(field, pol[1:-1]), axis=1)))
 
 
 def four_vector_residuals(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,15 +104,6 @@ SPIN_UP = SpinState(1.0 + 0.0j, 0.0j)
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    tau: float
-    lab_state: SpinState
-    rot_state: SpinState
-    p_flip: float
-    polarization: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Ordered samples of one integration, stored as parallel arrays."""
 
@@ -124,16 +115,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.taus)
-
-    def __iter__(self) -> Iterator[TrajectorySample]:
-        for i in range(len(self.taus)):
-            yield TrajectorySample(
-                tau=float(self.taus[i]),
-                lab_state=SpinState(complex(self.lab[i, 0]), complex(self.lab[i, 1])),
-                rot_state=SpinState(complex(self.rot[i, 0]), complex(self.rot[i, 1])),
-                p_flip=float(self.p_flip[i]),
-                polarization=tuple(self.polarization[i]),
-            )
 
     @property
     def norm_drift(self) -> np.ndarray:
@@ -226,9 +207,7 @@ def rotating_rhs(
     tau: float, params: SimParams, psi1: complex, psi2: complex
 ) -> tuple[complex, complex]:
     """Right-hand side of the rotating-frame Schrodinger system."""
-    d = params.delta_over_omega * jacobi(tau, params.k).dn
-    a = params.h_over_omega
-    return (-1j * (d * psi1 + a * psi2), -1j * (a * psi1 - d * psi2))
+    return _bind_rotating(params)(tau, psi1, psi2)
 
 
 def lab_rhs(
@@ -284,7 +263,12 @@ def _validate_grid(tau_grid: Sequence[float]) -> np.ndarray:
     return taus
 
 
-def _polarization_components(psi1: complex, psi2: complex) -> tuple[float, float, float]:
+def pauli_expectation(psi1: complex, psi2: complex) -> tuple[float, float, float]:
+    """(<sigma_x>, <sigma_y>, <sigma_z>) of the pure state (psi1, psi2).
+
+    px = 2 Re(psi1* psi2), py = 2 Im(psi1* psi2), pz = |psi1|^2 - |psi2|^2;
+    the sign of py follows the standard Pauli sigma_y convention.
+    """
     cross = psi1.conjugate() * psi2
     return (
         2.0 * cross.real,
@@ -331,7 +315,7 @@ def evolve(
         l1, l2 = f * p1, f.conjugate() * p2
         lab[i, 0], lab[i, 1] = l1, l2
         p_flip[i] = abs(p2) ** 2
-        pol[i] = _polarization_components(l1, l2)
+        pol[i] = pauli_expectation(l1, l2)
     return Trajectory(taus=taus, lab=lab, rot=rot, p_flip=p_flip, polarization=pol)
 
 

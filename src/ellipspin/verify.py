@@ -308,6 +308,11 @@ def wigner_suite(tol: float = sd.DEFAULT_TOL) -> list[CheckResult]:
                 worst_match = max(worst_match, abs(direct - probs[ia, ib]))
                 mirrored = wigner.transition_probability_j(j, -m, -mp, angles.theta)
                 worst_sym = max(worst_sym, abs(direct - mirrored))
+    # Fixed high-J case after the seeded draws: cancellation-prone sums for
+    # d^J lose the row sums first at the top spin near a quarter turn.
+    top = wigner.wigner_d(wigner.MAX_J, wigner.EulerAngles(0.0, 0.5 * math.pi, 0.0))
+    probs = np.abs(top.entries) ** 2
+    worst_rows = max(worst_rows, float(np.max(np.abs(probs.sum(axis=1) - 1.0))))
     results.append(CheckResult("spin_j_row_sums", worst_rows, 1e-10))
     results.append(CheckResult("probability_formula_vs_matrix", worst_match, 1e-10))
     results.append(CheckResult("projection_reflection_symmetry", worst_sym, 1e-10))

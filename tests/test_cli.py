@@ -163,6 +163,24 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert b"theta=" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_samples", "inf"),
+            ("sweep_cap", "nan"),
+            ("initial_re1", "nan"),
+            ("tau_max", "inf"),
+        ],
+    )
+    def test_non_finite_value_rejected(self, tmp_path, key, value):
+        lines = [ln for ln in RESONANCE_CONFIG.splitlines() if not ln.startswith(key + " ")]
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        proc = run_cli("simulate", str(cfg))
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert key.encode() in proc.stderr
+
     def test_unknown_output_kind(self, tmp_path):
         cfg = tmp_path / "o.cfg"
         cfg.write_text(RESONANCE_CONFIG.replace("outputs = trajectory", "outputs = plots"))
@@ -223,22 +241,6 @@ class TestSweep:
         proc = run_cli("sweep", str(cfg))
         assert proc.returncode == 2
         assert b"cap" in proc.stderr
-
-    def test_thread_env_var(self, tmp_path):
-        import os
-
-        cfg = tmp_path / "sweep.cfg"
-        cfg.write_text(SWEEP_CONFIG)
-        env = dict(os.environ, ELLIPSPIN_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "ellipspin", "sweep", str(cfg)],
-            capture_output=True,
-            env=env,
-            timeout=600,
-        )
-        assert proc.returncode == 0
-        base = run_cli("sweep", str(cfg))
-        assert proc.stdout == base.stdout
 
 
 class TestVerify:

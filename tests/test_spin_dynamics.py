@@ -220,12 +220,9 @@ class TestEvolve:
         assert np.all(np.diff(traj.taus) > 0.0)
         assert np.all(traj.p_flip >= 0.0)
         assert np.all(traj.p_flip <= 1.0 + 10.0 * tol)
-        samples = list(traj)
-        assert len(samples) == len(traj)
-        mid = samples[125]
-        assert mid.tau == traj.taus[125]
-        assert mid.p_flip == abs(mid.rot_state.psi2) ** 2
-        assert abs(mid.lab_state.psi1) == pytest.approx(abs(mid.rot_state.psi1), abs=1e-14)
+        assert len(traj) == len(traj.taus) == len(traj.lab) == len(traj.rot) == 251
+        assert traj.p_flip[125] == abs(traj.rot[125, 1]) ** 2
+        assert abs(traj.lab[125, 0]) == pytest.approx(abs(traj.rot[125, 0]), abs=1e-14)
 
 
 class TestPropagator:

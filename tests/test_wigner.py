@@ -139,6 +139,26 @@ class TestWignerD:
         u = m.entries
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-9
 
+    @pytest.mark.parametrize("j", [20.0, 22.0, 25.0])
+    @pytest.mark.parametrize("theta", [1.693, 0.5 * math.pi])
+    def test_high_spin_near_quarter_turn(self, j, theta):
+        # Alternating factorial sums lose the 1e-10 row sums here from
+        # J ~ 19; the coupling recursion must not.
+        angles = EulerAngles(phi=0.7, theta=theta, psi=-2.1)
+        got = wigner_d(j, angles).entries
+        probs = np.abs(got) ** 2
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-10
+        assert np.max(np.abs(got - expm_oracle(j, angles))) < 1e-10
+
+    @pytest.mark.parametrize("j", [12.0, 25.0])
+    def test_corner_entry_relative_accuracy(self, j):
+        # |d_JJ|^2 = cos^(4J)(theta/2) is tiny near theta = pi, where an
+        # absolute 1e-10 says nothing; ask for relative accuracy instead.
+        theta = 2.86
+        corner = abs(wigner_d(j, EulerAngles(0.0, theta, 0.0)).entries[0, 0]) ** 2
+        want = math.cos(0.5 * theta) ** (4 * j)
+        assert abs(corner - want) <= 1e-9 * want
+
     @pytest.mark.parametrize("j", [0.3, -0.5, 26.0])
     def test_rejects_bad_spin(self, j):
         with pytest.raises(DomainError):
