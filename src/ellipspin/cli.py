@@ -49,6 +49,9 @@ _OTHER_KEYS = (
 _KNOWN_KEYS = set(_DIMENSIONLESS_KEYS) | set(_PHYSICAL_KEYS) | set(_OTHER_KEYS)
 
 DEFAULT_SWEEP_CAP = 100_000
+# Budget for n_samples x runs.  A simulated sample holds about 250 bytes
+# until the CSV is written, so this keeps a run to a few hundred MB.
+MAX_ROWS = 1_000_000
 
 
 class ConfigError(Exception):
@@ -173,6 +176,9 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
     n_samples = int(n_samples_f)
     if n_samples != n_samples_f or n_samples < 2:
         raise ConfigError(f"n_samples must be an integer >= 2, got {n_samples_f!r}")
+    rows = n_samples_f * len(k_grid) * len(delta_grid) * len(h_grid)
+    if rows > MAX_ROWS:
+        raise ConfigError(f"n_samples x runs = {rows:.6g} exceeds the budget of {MAX_ROWS} rows")
     tol = _parse_float(pairs, "tol", default=sd.DEFAULT_TOL)
     if not (0.0 < tol <= 1e-4):
         raise ConfigError(f"tol must lie in (0, 1e-4], got {tol!r}")
@@ -184,11 +190,11 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
     im1 = _parse_float(pairs, "initial_im1", default=0.0)
     re2 = _parse_float(pairs, "initial_re2", default=0.0)
     im2 = _parse_float(pairs, "initial_im2", default=0.0)
-    initial = sd.SpinState(complex(re1, im1), complex(re2, im2))
-    norm = math.sqrt(initial.norm_sq)
+    # hypot, unlike a sum of squares, cannot overflow on finite amplitudes.
+    norm = math.hypot(re1, im1, re2, im2)
     if abs(norm - 1.0) > 1e-6:
         raise ConfigError(f"initial state norm is {norm!r}; must be 1 within 1e-6")
-    initial = sd.SpinState(initial.psi1 / norm, initial.psi2 / norm)
+    initial = sd.SpinState(complex(re1, im1) / norm, complex(re2, im2) / norm)
 
     if "outputs" in pairs:
         value, line, col = pairs["outputs"]
@@ -291,7 +297,12 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
         )
     if "wigner" in scenario.outputs:
         try:
-            u = sd.propagator(scenario.tau_max, scenario.params, tol=scenario.tol)
+            # euler_angles needs U unitary within 1e-9, but the defect of an
+            # integrated propagator grows with tau (about tol per unit tau),
+            # so the local tolerance shrinks with the horizon.
+            u = sd.propagator(
+                scenario.tau_max, scenario.params, tol=scenario.tol / max(1.0, scenario.tau_max)
+            )
             angles = wigner.euler_angles(u)
             j = scenario.spin_j
             p_top = (

@@ -223,17 +223,6 @@ def lab_rhs(
     )
 
 
-def _coefficient_scale(params: SimParams) -> float:
-    # Bounds the rotating-frame matrix norm plus the dn' modulation term;
-    # feeds the cubic-Hermite step cap.
-    d = abs(params.delta_over_omega)
-    return abs(params.h_over_omega) + d * (1.0 + params.k ** 2) + 1.0
-
-
-def _step_cap(params: SimParams, tol: float) -> float:
-    return _dopri.hermite_step_cap(tol, _coefficient_scale(params))
-
-
 def _bind_rotating(params: SimParams) -> _dopri.RHS:
     a = params.h_over_omega
     d0 = params.delta_over_omega
@@ -296,13 +285,7 @@ def evolve(
     initial.require_normalized()
     taus = _validate_grid(tau_grid)
 
-    states = _dopri.integrate(
-        _bind_rotating(params),
-        (initial.psi1, initial.psi2),
-        taus,
-        tol,
-        _step_cap(params, tol),
-    )
+    states = _dopri.integrate(_bind_rotating(params), (initial.psi1, initial.psi2), taus, tol)
 
     n = len(taus)
     rot = np.empty((n, 2), dtype=complex)
@@ -339,9 +322,7 @@ def evolve_lab_frame(
     def rhs(tau: float, p1: complex, p2: complex) -> tuple[complex, complex]:
         return lab_rhs(tau, params, p1, p2)
 
-    states = _dopri.integrate(
-        rhs, (initial.psi1, initial.psi2), taus, tol, _step_cap(params, tol)
-    )
+    states = _dopri.integrate(rhs, (initial.psi1, initial.psi2), taus, tol)
     return np.array(states, dtype=complex)
 
 
@@ -352,9 +333,8 @@ def propagator(tau: float, params: SimParams, tol: float = DEFAULT_TOL) -> Propa
     if tau < 0.0:
         raise DomainError(f"tau must be non-negative, got {tau!r}")
     rhs = _bind_rotating(params)
-    cap = _step_cap(params, tol)
-    a1, a2 = _dopri.integrate_to(rhs, (1.0 + 0j, 0.0j), tau, tol, cap)
-    b1, b2 = _dopri.integrate_to(rhs, (0.0j, 1.0 + 0j), tau, tol, cap)
+    a1, a2 = _dopri.integrate_to(rhs, (1.0 + 0j, 0.0j), tau, tol)
+    b1, b2 = _dopri.integrate_to(rhs, (0.0j, 1.0 + 0j), tau, tol)
     f = gauge_factor(tau, params.k)
     fc = f.conjugate()
     return Propagator(u11=f * a1, u12=f * b1, u21=fc * a2, u22=fc * b2)
@@ -398,14 +378,13 @@ def probability_from_fundamental_pair(
     alone, which makes this an independent cross-check of `evolve`.
     """
     rhs = _bind_rotating(params)
-    cap = _step_cap(params, tol)
     fa0, fb0 = ic_a.psi2, ic_b.psi2
     da0 = rotating_rhs(0.0, params, ic_a.psi1, ic_a.psi2)[1]
     db0 = rotating_rhs(0.0, params, ic_b.psi1, ic_b.psi2)[1]
     wronskian0 = fa0 * db0 - fb0 * da0
     if abs(wronskian0) < 1e-13:
         raise DomainError("initial conditions do not span a fundamental system")
-    _, fa = _dopri.integrate_to(rhs, (ic_a.psi1, ic_a.psi2), tau, tol, cap)
-    _, fb = _dopri.integrate_to(rhs, (ic_b.psi1, ic_b.psi2), tau, tol, cap)
+    _, fa = _dopri.integrate_to(rhs, (ic_a.psi1, ic_a.psi2), tau, tol)
+    _, fb = _dopri.integrate_to(rhs, (ic_b.psi1, ic_b.psi2), tau, tol)
     a = params.h_over_omega
     return a * a * abs(fa * fb0 - fb * fa0) ** 2 / abs(wronskian0) ** 2

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import heun, observables, spin_dynamics as sd, wigner
 from .elliptic import jacobi, jacobi_identity_residuals, quarter_period
+from .errors import DomainError
 
 _SEED = 20240420
 
@@ -274,7 +275,13 @@ def wigner_suite(tol: float = sd.DEFAULT_TOL) -> list[CheckResult]:
         tau = float(rng.uniform(0.1, 15.0))
         u = sd.propagator(tau, p, tol=tol)
         worst_unitary = max(worst_unitary, u.unitarity_defect())
-        angles = wigner.euler_angles(u)
+        try:
+            angles = wigner.euler_angles(u)
+        except DomainError:
+            # A matrix that is not unitary has no Euler angles: the checks
+            # built on them fail here, and propagator_unitarity says why.
+            worst_flip = worst_recon = math.inf
+            continue
         p_flip = float(sd.evolve(sd.SPIN_UP, p, [0.0, tau], tol=tol).p_flip[-1])
         worst_flip = max(worst_flip, abs(math.sin(0.5 * angles.theta) ** 2 - p_flip))
         d_half = wigner.wigner_d(0.5, angles).entries

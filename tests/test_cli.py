@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface (subprocess level)."""
 
+import contextlib
 import io
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ellipspin.spin_dynamics as sd
+from ellipspin import cli
 
 HEADER = "tau,re_psi1,im_psi1,re_psi2,im_psi2,p_flip,px,py,pz,norm_drift"
 
@@ -181,6 +184,27 @@ class TestSimulate:
         assert b"Traceback" not in proc.stderr
         assert key.encode() in proc.stderr
 
+    @pytest.mark.parametrize("value", ["1e12", "1e300"])
+    def test_huge_sample_count_rejected(self, tmp_path, value):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(RESONANCE_CONFIG.replace("n_samples = 201", f"n_samples = {value}"))
+        proc = run_cli("simulate", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"config error") and proc.stderr.count(b"\n") == 1
+        assert b"n_samples" in proc.stderr
+
+    def test_wigner_output_at_long_horizon(self, tmp_path):
+        # At a fixed local tol the propagator's unitarity defect grows with
+        # tau; here it would reach 5e-9, past euler_angles' 1e-9 guard.
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text(
+            "k = 0.9\nh_over_omega = 1.0\ndelta_over_omega = 0.5\ntau_max = 60\n"
+            "n_samples = 11\nspin_j = 2\noutputs = trajectory, wigner\n"
+        )
+        proc = run_cli("simulate", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert b"theta=" in proc.stderr
+
     def test_unknown_output_kind(self, tmp_path):
         cfg = tmp_path / "o.cfg"
         cfg.write_text(RESONANCE_CONFIG.replace("outputs = trajectory", "outputs = plots"))
@@ -243,6 +267,14 @@ class TestSweep:
         assert b"cap" in proc.stderr
 
 
+    def test_row_budget(self, tmp_path):
+        cfg = tmp_path / "rows.cfg"
+        cfg.write_text(SWEEP_CONFIG.replace("n_samples = 51", "n_samples = 400000"))
+        proc = run_cli("sweep", str(cfg))
+        assert proc.returncode == 2
+        assert b"budget" in proc.stderr and b"Traceback" not in proc.stderr
+
+
 class TestVerify:
     def test_wigner_suite_passes(self):
         proc = run_cli("verify", "wigner")
@@ -264,6 +296,12 @@ class TestVerify:
         proc = run_cli("verify", "heun", "--tol", "0.1")
         assert proc.returncode == 1
         assert b"flip_probability_reduction_vs_ode" in proc.stderr
+
+    def test_non_unitary_propagator_is_a_failed_check(self):
+        proc = run_cli("verify", "wigner", "--tol", "0.1")
+        assert proc.returncode == 1
+        assert b"propagator_unitarity" in proc.stderr
+        assert b"runtime failure" not in proc.stderr
 
     def test_heun_suite_passes_at_default_tolerance(self):
         proc = run_cli("verify", "heun")
@@ -289,3 +327,85 @@ class TestEllipticTable:
     def test_too_few_rows(self):
         proc = run_cli("elliptic-table", "0.5", "5.0", "1")
         assert proc.returncode == 2
+
+
+def _number_text(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+_MALFORMED = st.sampled_from(["nan", "inf", "-inf", "abc", "1e", "--1", "1,,2", "0x10", "+"])
+_HUGE = st.sampled_from(["1e300", "-1e300", "1e12"])
+# Work grows with tau_max, |h/w| and |D/w| and as tol shrinks, so finite
+# values of those come from ranges that run in milliseconds; values that
+# are rejected or fail fast (1e300 drives, tol = 1e-300) are drawn too.
+_VALUES = {
+    "k": st.one_of(_number_text(-0.5, 1.5), _HUGE),
+    "h_over_omega": st.one_of(_number_text(-2.0, 2.0), st.just("1e300")),
+    "delta_over_omega": st.one_of(_number_text(-2.0, 2.0), st.just("-1e300")),
+    "tau_max": st.one_of(_number_text(-1.0, 5.0), st.just("1e-300")),
+    "n_samples": st.one_of(st.integers(-2, 40).map(str), _number_text(-2.0, 40.0), _HUGE),
+    "tol": st.sampled_from(["1e-10", "1e-8", "1e-4", "2e-4", "0", "-1e-10", "1e-300"]),
+    "spin_j": st.one_of(
+        st.integers(-2, 60).map(lambda n: repr(n / 2)), _number_text(-1.0, 30.0), _HUGE
+    ),
+    "initial_re1": st.one_of(_number_text(-1.5, 1.5), _HUGE),
+    "initial_im1": _number_text(-1.5, 1.5),
+    "initial_re2": st.one_of(_number_text(-1.5, 1.5), _HUGE),
+    "initial_im2": _number_text(-1.5, 1.5),
+    "outputs": st.lists(st.sampled_from(cli.OUTPUT_KINDS + ("plots",)), min_size=1, max_size=3).map(
+        ", ".join
+    ),
+    "sweep_cap": st.one_of(st.integers(-1, 30).map(str), _HUGE),
+    "g": _number_text(-3.0, 3.0),
+    "h0_tesla": _number_text(-1e-3, 1e-3),
+    "H0_tesla": _number_text(-1e-3, 1e-3),
+    "omega_rad_per_s": st.one_of(_number_text(-1e9, 1e9), st.just("0")),
+}
+_GRID_KEYS = ("k", "h_over_omega", "delta_over_omega")
+_BASE = {
+    "k": "0.5",
+    "h_over_omega": "0.3",
+    "delta_over_omega": "0.1",
+    "tau_max": "2",
+    "n_samples": "11",
+}
+
+
+@st.composite
+def _config_lines(draw):
+    """A valid config with up to four values replaced and maybe one key dropped."""
+    values = dict(_BASE)
+    for key in draw(st.lists(st.sampled_from(sorted(_VALUES)), unique=True, max_size=4)):
+        if key in _GRID_KEYS and draw(st.booleans()):
+            values[key] = ", ".join(draw(st.lists(_VALUES[key], min_size=1, max_size=3)))
+        else:
+            values[key] = draw(st.one_of(_VALUES[key], _MALFORMED))
+    for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=1)):
+        del values[key]
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+class TestGeneratedConfigs:
+    def test_exit_codes_and_no_traceback(self, tmp_path_factory):
+        # In-process runs: an exception escaping cli.main is the traceback
+        # a user would see, and it fails this test.
+        work = tmp_path_factory.mktemp("fuzz")
+        cfg, out = work / "f.cfg", work / "f.csv"
+
+        @settings(max_examples=150, deadline=None)
+        @given(_config_lines())
+        def check(text):
+            cfg.write_text(text)
+            for allow_grids in (False, True):
+                try:
+                    cli.load_scenario(str(cfg), allow_grids=allow_grids)
+                except cli.ConfigError:
+                    pass
+            for command in ("simulate", "sweep"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = cli.main([command, str(cfg), "-o", str(out)])
+                assert rc in (0, 2, 3), (command, rc, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+
+        check()
