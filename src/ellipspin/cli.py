@@ -297,12 +297,7 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
         )
     if "wigner" in scenario.outputs:
         try:
-            # euler_angles needs U unitary within 1e-9, but the defect of an
-            # integrated propagator grows with tau (about tol per unit tau),
-            # so the local tolerance shrinks with the horizon.
-            u = sd.propagator(
-                scenario.tau_max, scenario.params, tol=scenario.tol / max(1.0, scenario.tau_max)
-            )
+            u = sd.propagator(scenario.tau_max, scenario.params, tol=scenario.tol)
             angles = wigner.euler_angles(u)
             j = scenario.spin_j
             p_top = (

@@ -193,12 +193,14 @@ class TestSimulate:
         assert proc.stderr.startswith(b"config error") and proc.stderr.count(b"\n") == 1
         assert b"n_samples" in proc.stderr
 
-    def test_wigner_output_at_long_horizon(self, tmp_path):
+    @pytest.mark.parametrize("h, delta", [(1.0, 0.5), (2.0, 2.0)])
+    def test_wigner_output_at_long_horizon(self, tmp_path, h, delta):
         # At a fixed local tol the propagator's unitarity defect grows with
-        # tau; here it would reach 5e-9, past euler_angles' 1e-9 guard.
+        # tau and the drive; here it would reach 5e-9 and 1.4e-8, past
+        # euler_angles' 1e-9 guard.
         cfg = tmp_path / "w.cfg"
         cfg.write_text(
-            "k = 0.9\nh_over_omega = 1.0\ndelta_over_omega = 0.5\ntau_max = 60\n"
+            f"k = 0.9\nh_over_omega = {h}\ndelta_over_omega = {delta}\ntau_max = 60\n"
             "n_samples = 11\nspin_j = 2\noutputs = trajectory, wigner\n"
         )
         proc = run_cli("simulate", str(cfg))

@@ -17,6 +17,7 @@ from ellipspin import (
     SimParams,
     SpinState,
     derive_parameters,
+    euler_angles,
     evolve,
     gauge_factor,
     hamiltonian,
@@ -256,6 +257,23 @@ class TestPropagator:
             assert u.unitarity_defect() < 1e-9
             det = u.u11 * u.u22 - u.u12 * u.u21
             assert abs(abs(det) - 1.0) < 1e-9
+
+    def test_unitary_at_far_corner_of_verify_range(self):
+        # Strongest drive and longest horizon the verify suite draws; at a
+        # fixed local tol the defect here reached 1.4e-9.
+        p = SimParams.from_detuning(1.0, 0.5, 0.9)
+        u = propagator(15.0, p)
+        assert u.unitarity_defect() < 1e-9
+        angles = euler_angles(u)
+        p_flip = evolve(spin_up(), p, [0.0, 15.0]).p_flip[-1]
+        assert abs(math.sin(0.5 * angles.theta) ** 2 - p_flip) < 1e-8
+
+    @pytest.mark.parametrize(
+        "h, delta, k, tau", [(5.0, -2.0, 0.999, 15.0), (20.0, 10.0, 0.0, 2.0), (0.3, 0.2, 1.0, 60.0)]
+    )
+    def test_defect_stays_near_tol(self, h, delta, k, tau):
+        p = SimParams.from_detuning(h, delta, k)
+        assert propagator(tau, p, tol=1e-10).unitarity_defect() < 2e-10
 
     def test_apply_matches_evolve(self):
         p = SimParams.from_detuning(0.4, 0.2, 0.8)
