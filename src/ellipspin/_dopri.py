@@ -85,10 +85,15 @@ def integrate(
     """Integrate from sample_taus[0] and return the state at every sample time.
 
     ``sample_taus`` must be non-decreasing.  Raises IntegrationError on
-    step-size underflow, carrying the last time reached.
+    step-size underflow, carrying the last time reached.  The states are
+    Python complex numbers whatever the type of the sample times.
     """
-    t = float(sample_taus[0])
-    t_end = float(sample_taus[-1])
+    # numpy float64 times would make every interpolated state a numpy
+    # scalar, several times slower to compute and to use; the values are
+    # the same.
+    sample_taus = [float(ts) for ts in sample_taus]
+    t = sample_taus[0]
+    t_end = sample_taus[-1]
     y1, y2 = complex(y0[0]), complex(y0[1])
     f1a, f2a = rhs(t, y1, y2)
 

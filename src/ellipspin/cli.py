@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -49,8 +50,15 @@ _OTHER_KEYS = (
 _KNOWN_KEYS = set(_DIMENSIONLESS_KEYS) | set(_PHYSICAL_KEYS) | set(_OTHER_KEYS)
 
 DEFAULT_SWEEP_CAP = 100_000
-# Budget for n_samples x runs.  A simulated sample holds about 250 bytes
-# until the CSV is written, so this keeps a run to a few hundred MB.
+# Smallest accepted integrator tolerance.  Below double roundoff the
+# error control can no longer be satisfied and shrinks the step until the
+# run crawls (tol = 1e-22 takes seconds at tau 2; 1e-23 runs for minutes).
+MIN_TOL = 1e-15
+# Budget for n_samples x runs.  A simulated sample holds about 260 bytes
+# at the run's peak, while `evolve` holds both the integrator's states and
+# the trajectory arrays (traced peak and resident size both grow that much
+# per sample from 20,001 to 200,001 samples), so this keeps a run to a few
+# hundred MB.
 MAX_ROWS = 1_000_000
 
 
@@ -180,8 +188,8 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
     if rows > MAX_ROWS:
         raise ConfigError(f"n_samples x runs = {rows:.6g} exceeds the budget of {MAX_ROWS} rows")
     tol = _parse_float(pairs, "tol", default=sd.DEFAULT_TOL)
-    if not (0.0 < tol <= 1e-4):
-        raise ConfigError(f"tol must lie in (0, 1e-4], got {tol!r}")
+    if not (MIN_TOL <= tol <= 1e-4):
+        raise ConfigError(f"tol must lie in [{MIN_TOL:g}, 1e-4], got {tol!r}")
     spin_j = _parse_float(pairs, "spin_j", default=0.5)
     if spin_j < 0 or abs(2 * spin_j - round(2 * spin_j)) > 1e-12 or spin_j > wigner.MAX_J:
         raise ConfigError(f"spin_j must be a half-integer in [0, {wigner.MAX_J}], got {spin_j!r}")
@@ -233,6 +241,30 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Rows formatted per write.  Formatting one chunk with a single template
+# is much cheaper than one format call per value, and a chunk, unlike the
+# whole file, is small next to the trajectory itself.
+_CHUNK_ROWS = 1024
+
+
+def _write_rows(stream, header: str, rows) -> None:
+    """Write ``header`` and then each tuple of floats in ``rows`` as a CSV line.
+
+    ``"%.17g" % x`` gives the same bytes as ``_fmt(x)`` for a float.
+    """
+    stream.write(header + "\n")
+    template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        stream.write("".join([template % row for row in chunk]))
+
+
+def _column_rows(*columns: np.ndarray):
+    """Rows of equal-length float arrays, converted to Python floats a chunk at a time."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        yield from zip(*(c[start : start + _CHUNK_ROWS].tolist() for c in columns))
+
+
 def _open_output(path: str | None):
     if path is None:
         return sys.stdout, False
@@ -258,23 +290,23 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
 
     stream, owned = _open_output(output)
     try:
-        stream.write("tau,re_psi1,im_psi1,re_psi2,im_psi2,p_flip,px,py,pz,norm_drift\n")
-        drift = traj.norm_drift
-        for i in range(len(traj)):
-            l1, l2 = traj.lab[i]
-            row = (
-                traj.taus[i],
-                l1.real,
-                l1.imag,
-                l2.real,
-                l2.imag,
-                traj.p_flip[i],
-                traj.polarization[i, 0],
-                traj.polarization[i, 1],
-                traj.polarization[i, 2],
-                drift[i],
-            )
-            stream.write(",".join(_fmt(x) for x in row) + "\n")
+        lab, pol = traj.lab, traj.polarization
+        _write_rows(
+            stream,
+            "tau,re_psi1,im_psi1,re_psi2,im_psi2,p_flip,px,py,pz,norm_drift",
+            _column_rows(
+                traj.taus,
+                lab[:, 0].real,
+                lab[:, 0].imag,
+                lab[:, 1].real,
+                lab[:, 1].imag,
+                traj.p_flip,
+                pol[:, 0],
+                pol[:, 1],
+                pol[:, 2],
+                traj.norm_drift,
+            ),
+        )
     finally:
         if owned:
             stream.close()
@@ -354,12 +386,16 @@ def cmd_sweep(config_path: str, output: str | None) -> int:
 
     stream, owned = _open_output(output)
     try:
-        stream.write("k,delta_over_omega,h_over_omega,tau,p_flip\n")
-        for (k, d, h), pf in zip(grid, all_pflip):
-            for tau, val in zip(taus, pf):
-                stream.write(
-                    ",".join(_fmt(x) for x in (k, d, h, tau, val)) + "\n"
-                )
+        tau_list = taus.tolist()
+        _write_rows(
+            stream,
+            "k,delta_over_omega,h_over_omega,tau,p_flip",
+            (
+                row
+                for (k, d, h), pf in zip(grid, all_pflip)
+                for row in zip(repeat(k), repeat(d), repeat(h), tau_list, pf.tolist())
+            ),
+        )
     finally:
         if owned:
             stream.close()
@@ -400,15 +436,16 @@ def cmd_elliptic_table(k: float, u_max: float, n: int, output: str | None) -> in
     if not (math.isfinite(u_max) and u_max > 0.0):
         print(f"config error: u_max must be positive, got {u_max!r}", file=sys.stderr)
         return EXIT_CONFIG
+
+    def rows():
+        for u in np.linspace(0.0, u_max, n):
+            u = float(u)
+            trip = jacobi(u, k)
+            yield (u, trip.sn, trip.cn, trip.dn, *jacobi_identity_residuals(trip, k))
+
     stream, owned = _open_output(output)
     try:
-        stream.write("u,sn,cn,dn,res_sncn,res_dnsn\n")
-        for u in np.linspace(0.0, u_max, n):
-            trip = jacobi(float(u), k)
-            r1, r2 = jacobi_identity_residuals(trip, k)
-            stream.write(
-                ",".join(_fmt(x) for x in (u, trip.sn, trip.cn, trip.dn, r1, r2)) + "\n"
-            )
+        _write_rows(stream, "u,sn,cn,dn,res_sncn,res_dnsn", rows())
     finally:
         if owned:
             stream.close()
@@ -450,8 +487,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args.config, args.output)
         if args.command == "verify":
-            if not args.tol > 0.0:
-                print(f"config error: tol must be positive, got {args.tol!r}", file=sys.stderr)
+            if not args.tol >= MIN_TOL:
+                print(f"config error: tol must be at least {MIN_TOL:g}, got {args.tol!r}", file=sys.stderr)
                 return EXIT_CONFIG
             return cmd_verify(args.suite, args.tol)
         if args.command == "elliptic-table":

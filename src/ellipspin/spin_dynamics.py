@@ -288,17 +288,20 @@ def evolve(
     states = _dopri.integrate(_bind_rotating(params), (initial.psi1, initial.psi2), taus, tol)
 
     n = len(taus)
-    rot = np.empty((n, 2), dtype=complex)
     lab = np.empty((n, 2), dtype=complex)
     p_flip = np.empty(n)
     pol = np.empty((n, 3))
-    for i, (p1, p2) in enumerate(states):
-        rot[i, 0], rot[i, 1] = p1, p2
-        f = gauge_factor(taus[i], params.k)
+    # Scalar arithmetic on the integrator's Python complex numbers: numpy's
+    # vectorised complex multiply and abs round differently in the last
+    # bit, and lists of per-sample tuples would triple the peak memory.
+    k = params.k
+    for i, (tau, (p1, p2)) in enumerate(zip(taus, states)):
+        f = gauge_factor(tau, k)
         l1, l2 = f * p1, f.conjugate() * p2
         lab[i, 0], lab[i, 1] = l1, l2
         p_flip[i] = abs(p2) ** 2
         pol[i] = pauli_expectation(l1, l2)
+    rot = np.array(states, dtype=complex)
     return Trajectory(taus=taus, lab=lab, rot=rot, p_flip=p_flip, polarization=pol)
 
 

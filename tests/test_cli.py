@@ -4,6 +4,8 @@ import contextlib
 import io
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import ellipspin.spin_dynamics as sd
 from ellipspin import cli
+from ellipspin.elliptic import jacobi, jacobi_identity_residuals
 
 HEADER = "tau,re_psi1,im_psi1,re_psi2,im_psi2,p_flip,px,py,pz,norm_drift"
 
@@ -41,6 +44,20 @@ def run_cli(*args, timeout=600):
 
 def parse_csv(data: bytes):
     return np.genfromtxt(io.BytesIO(data), delimiter=",", names=True)
+
+
+def run_in_process(*args):
+    """(exit code, stderr) of cli.main run in this interpreter."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(list(args))
+    return rc, err.getvalue()
+
+
+def csv_text(header, rows):
+    """Reference CSV: every value through format(x, ".17g") on its own."""
+    lines = [header] + [",".join(format(float(x), ".17g") for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 class TestSimulate:
@@ -213,6 +230,17 @@ class TestSimulate:
         proc = run_cli("simulate", str(cfg))
         assert proc.returncode == 2
 
+    def test_tol_below_roundoff_rejected(self, tmp_path):
+        # Accepted, such a tol makes the step crawl for minutes.
+        cfg = tmp_path / "tiny_tol.cfg"
+        cfg.write_text(RESONANCE_CONFIG.replace("tol = 1e-10", "tol = 1e-25"))
+        start = time.perf_counter()
+        rc, err = run_in_process("simulate", str(cfg))
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "tol" in err
+
 
 SWEEP_CONFIG = """\
 k = 0.3, 0.7, 0.99
@@ -309,6 +337,11 @@ class TestVerify:
         proc = run_cli("verify", "heun")
         assert proc.returncode == 0, proc.stderr
 
+    def test_tol_below_roundoff_rejected(self):
+        rc, err = run_in_process("verify", "heun", "--tol", "1e-25")
+        assert rc == 2
+        assert err.startswith("config error") and err.count("\n") == 1
+
 
 class TestEllipticTable:
     def test_table_rows(self):
@@ -331,6 +364,74 @@ class TestEllipticTable:
         assert proc.returncode == 2
 
 
+DENSE_CONFIG = """\
+k = 0.7
+h_over_omega = 0.3
+delta_over_omega = 0.15
+tau_max = 14
+n_samples = {n}
+"""
+
+
+class TestCsvBytes:
+    """The chunked row writer gives the bytes of one format call per value."""
+
+    def test_simulate(self, tmp_path):
+        n = 2500
+        # More rows than one chunk, and not a whole number of chunks.
+        assert cli._CHUNK_ROWS < n and n % cli._CHUNK_ROWS
+        cfg, out = tmp_path / "s.cfg", tmp_path / "s.csv"
+        cfg.write_text(DENSE_CONFIG.format(n=n))
+        assert run_in_process("simulate", str(cfg), "-o", str(out))[0] == 0
+        traj = sd.evolve(
+            sd.SPIN_UP, sd.SimParams.from_detuning(0.3, 0.15, 0.7), np.linspace(0.0, 14.0, n)
+        )
+        rows = [
+            (tau, l1.real, l1.imag, l2.real, l2.imag, p, *pol, drift)
+            for tau, (l1, l2), p, pol, drift in zip(
+                traj.taus, traj.lab, traj.p_flip, traj.polarization, traj.norm_drift
+            )
+        ]
+        assert out.read_text() == csv_text(HEADER, rows)
+
+    def test_sweep(self, tmp_path):
+        cfg, out = tmp_path / "w.cfg", tmp_path / "w.csv"
+        cfg.write_text(SWEEP_CONFIG.replace("delta_over_omega = 0.0", "delta_over_omega = 0.0, -0.2"))
+        assert run_in_process("sweep", str(cfg), "-o", str(out))[0] == 0
+        taus = np.linspace(0.0, 10.0, 51)
+        rows = []
+        for k in (0.3, 0.7, 0.99):
+            for d in (0.0, -0.2):
+                p_flip = sd.evolve(sd.SPIN_UP, sd.SimParams.from_detuning(0.25, d, k), taus).p_flip
+                rows += [(k, d, 0.25, tau, p) for tau, p in zip(taus, p_flip)]
+        assert out.read_text() == csv_text("k,delta_over_omega,h_over_omega,tau,p_flip", rows)
+
+    def test_elliptic_table(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert run_in_process("elliptic-table", "0.7", "20", "2001", "-o", str(out))[0] == 0
+        rows = []
+        for u in np.linspace(0.0, 20.0, 2001):
+            trip = jacobi(float(u), 0.7)
+            rows.append((u, trip.sn, trip.cn, trip.dn, *jacobi_identity_residuals(trip, 0.7)))
+        assert out.read_text() == csv_text("u,sn,cn,dn,res_sncn,res_dnsn", rows)
+
+    def test_simulate_never_buffers_the_whole_file(self, tmp_path):
+        # Peak traced allocation of this 20,001-sample run: 4.9 MiB when
+        # rows are written a chunk at a time, 18 MiB when the file is
+        # joined into one string first.
+        cfg, out = tmp_path / "d.cfg", tmp_path / "d.csv"
+        cfg.write_text(DENSE_CONFIG.format(n=20001))
+        argv = ("simulate", str(cfg), "-o", str(out))
+        assert run_in_process(*argv)[0] == 0  # warm-up: caches and lazy imports
+        tracemalloc.start()
+        try:
+            assert run_in_process(*argv)[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 def _number_text(lo, hi):
     return st.floats(lo, hi, allow_nan=False).map(repr)
 
@@ -339,14 +440,15 @@ _MALFORMED = st.sampled_from(["nan", "inf", "-inf", "abc", "1e", "--1", "1,,2", 
 _HUGE = st.sampled_from(["1e300", "-1e300", "1e12"])
 # Work grows with tau_max, |h/w| and |D/w| and as tol shrinks, so finite
 # values of those come from ranges that run in milliseconds; values that
-# are rejected or fail fast (1e300 drives, tol = 1e-300) are drawn too.
+# are rejected or fail fast (1e300 drives, tol = 1e-25 or 1e-300) are
+# drawn too.
 _VALUES = {
     "k": st.one_of(_number_text(-0.5, 1.5), _HUGE),
     "h_over_omega": st.one_of(_number_text(-2.0, 2.0), st.just("1e300")),
     "delta_over_omega": st.one_of(_number_text(-2.0, 2.0), st.just("-1e300")),
     "tau_max": st.one_of(_number_text(-1.0, 5.0), st.just("1e-300")),
     "n_samples": st.one_of(st.integers(-2, 40).map(str), _number_text(-2.0, 40.0), _HUGE),
-    "tol": st.sampled_from(["1e-10", "1e-8", "1e-4", "2e-4", "0", "-1e-10", "1e-300"]),
+    "tol": st.sampled_from(["1e-10", "1e-8", "1e-4", "2e-4", "0", "-1e-10", "1e-25", "1e-300"]),
     "spin_j": st.one_of(
         st.integers(-2, 60).map(lambda n: repr(n / 2)), _number_text(-1.0, 30.0), _HUGE
     ),
@@ -404,10 +506,8 @@ class TestGeneratedConfigs:
                 except cli.ConfigError:
                     pass
             for command in ("simulate", "sweep"):
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    rc = cli.main([command, str(cfg), "-o", str(out)])
-                assert rc in (0, 2, 3), (command, rc, err.getvalue())
-                assert "Traceback" not in err.getvalue()
+                rc, err = run_in_process(command, str(cfg), "-o", str(out))
+                assert rc in (0, 2, 3), (command, rc, err)
+                assert "Traceback" not in err
 
         check()

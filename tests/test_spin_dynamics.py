@@ -374,6 +374,16 @@ class TestIntegratorFailure:
         assert 0.0 < err.value.last_good_tau < 1.0
 
 
+class TestIntegratorSampleTimes:
+    def test_states_are_python_complex_for_any_grid(self):
+        rhs = sd._bind_rotating(SimParams.from_detuning(0.3, 0.2, 0.7))
+        grid = np.linspace(0.0, 10.0, 501)
+        from_array = _dopri.integrate(rhs, (1.0 + 0j, 0j), grid, 1e-10)
+        from_list = _dopri.integrate(rhs, (1.0 + 0j, 0j), grid.tolist(), 1e-10)
+        assert from_array == from_list
+        assert all(type(x) is complex for state in from_array for x in state)
+
+
 class TestDenseOutput:
     """Samples between the integrator's steps, which error control alone sizes."""
 
