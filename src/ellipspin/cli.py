@@ -23,7 +23,7 @@ import numpy as np
 
 from . import heun, verify, wigner
 from . import spin_dynamics as sd
-from .elliptic import jacobi, jacobi_identity_residuals
+from .elliptic import _jacobi_grid, jacobi_identity_residuals
 from .errors import DomainError, EllipspinError, IntegrationError
 
 EXIT_OK = 0
@@ -54,11 +54,11 @@ DEFAULT_SWEEP_CAP = 100_000
 # error control can no longer be satisfied and shrinks the step until the
 # run crawls (tol = 1e-22 takes seconds at tau 2; 1e-23 runs for minutes).
 MIN_TOL = 1e-15
-# Budget for n_samples x runs.  A simulated sample holds about 260 bytes
-# at the run's peak, while `evolve` holds both the integrator's states and
-# the trajectory arrays (traced peak and resident size both grow that much
-# per sample from 20,001 to 200,001 samples), so this keeps a run to a few
-# hundred MB.
+# Budget for n_samples x runs, and for the rows of `elliptic-table`.  A
+# simulated sample holds about 200 bytes at the run's peak, while `evolve`
+# holds both the integrator's states and the trajectory arrays (traced
+# peak and resident size both grow that much per sample from 20,001 to
+# 200,001 samples), so this keeps a run to a few hundred MB.
 MAX_ROWS = 1_000_000
 
 
@@ -433,19 +433,22 @@ def cmd_elliptic_table(k: float, u_max: float, n: int, output: str | None) -> in
     if n < 2:
         print(f"config error: need at least 2 rows, got {n!r}", file=sys.stderr)
         return EXIT_CONFIG
+    if n > MAX_ROWS:
+        print(f"config error: {n} rows exceed the budget of {MAX_ROWS} rows", file=sys.stderr)
+        return EXIT_CONFIG
     if not (math.isfinite(u_max) and u_max > 0.0):
         print(f"config error: u_max must be positive, got {u_max!r}", file=sys.stderr)
         return EXIT_CONFIG
 
-    def rows():
-        for u in np.linspace(0.0, u_max, n):
-            u = float(u)
-            trip = jacobi(u, k)
-            yield (u, trip.sn, trip.cn, trip.dn, *jacobi_identity_residuals(trip, k))
-
+    u = np.linspace(0.0, u_max, n)
+    trip = _jacobi_grid(u, k)
     stream, owned = _open_output(output)
     try:
-        _write_rows(stream, "u,sn,cn,dn,res_sncn,res_dnsn", rows())
+        _write_rows(
+            stream,
+            "u,sn,cn,dn,res_sncn,res_dnsn",
+            _column_rows(u, trip.sn, trip.cn, trip.dn, *jacobi_identity_residuals(trip, k)),
+        )
     finally:
         if owned:
             stream.close()
@@ -487,8 +490,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args.config, args.output)
         if args.command == "verify":
-            if not args.tol >= MIN_TOL:
-                print(f"config error: tol must be at least {MIN_TOL:g}, got {args.tol!r}", file=sys.stderr)
+            if not (MIN_TOL <= args.tol < math.inf):
+                print(
+                    f"config error: tol must be finite and at least {MIN_TOL:g}, got {args.tol!r}",
+                    file=sys.stderr,
+                )
                 return EXIT_CONFIG
             return cmd_verify(args.suite, args.tol)
         if args.command == "elliptic-table":

@@ -7,6 +7,13 @@ descending Landen / AGM amplitude recursion (DLMF 22.20(ii)).  The two
 degenerate moduli are served by their closed forms: trigonometric at
 ``k = 0`` and hyperbolic at ``k = 1``, where the AGM scheme loses meaning.
 
+`jacobi` evaluates one argument.  `_jacobi_grid` runs the same descent
+over a whole float array for the sample-grid callers and returns the
+same bits: the arithmetic steps run in numpy, whose ``+ - * /``,
+``sqrt``, ``ldexp`` and ``clip`` round exactly as the scalar ones do,
+and the transcendental steps go through the ``math`` function element
+by element, since numpy's own versions may round differently.
+
 All functions are pure and safe for concurrent use.
 """
 
@@ -15,6 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -27,7 +37,10 @@ _AGM_MAX_ITER = 64
 
 @dataclass(frozen=True)
 class EllipticTriple:
-    """Values (sn, cn, dn) at one argument; the modulus is carried by the caller."""
+    """Values (sn, cn, dn) at one argument, or arrays of them over a grid.
+
+    The modulus is carried by the caller.
+    """
 
     sn: float
     cn: float
@@ -151,8 +164,50 @@ def jacobi(u: float, k: float) -> EllipticTriple:
     return EllipticTriple(sn=sn, cn=cn, dn=dn)
 
 
+def _elementwise(fn, x: np.ndarray, *args: float) -> np.ndarray:
+    """``fn(x_i, *args)`` for every element of a 1-d array, through ``math``."""
+    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, len(x))
+
+
+def _jacobi_grid(u: np.ndarray, k: float) -> EllipticTriple:
+    """`jacobi` over a 1-d float array: the same descent, bit for bit.
+
+    Each step is the scalar one applied to the whole array, in the same
+    order, so every element rounds exactly as `jacobi` rounds it.
+    """
+    u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise DomainError("argument must be finite everywhere on the grid")
+    k = _check_modulus(k, allow_one=True)
+
+    if k == 0.0:
+        return EllipticTriple(
+            sn=_elementwise(math.sin, u), cn=_elementwise(math.cos, u), dn=np.ones(len(u))
+        )
+    if k == 1.0:
+        sech = 1.0 / _elementwise(math.cosh, u)
+        return EllipticTriple(sn=_elementwise(math.tanh, u), cn=sech, dn=sech)
+
+    a_list, c_list, big_k = _amplitude_tables(k)
+    u = _elementwise(math.remainder, u, 4.0 * big_k)
+
+    n_top = len(a_list) - 1
+    phi = np.ldexp(a_list[n_top] * u, n_top)
+    for n in range(n_top, 0, -1):
+        s = np.clip(c_list[n] / a_list[n] * _elementwise(math.sin, phi), -1.0, 1.0)
+        phi = 0.5 * (phi + _elementwise(math.asin, s))
+
+    sn = _elementwise(math.sin, phi)
+    cn = _elementwise(math.cos, phi)
+    dn = np.sqrt((1.0 - k * sn) * (1.0 + k * sn))
+    return EllipticTriple(sn=sn, cn=cn, dn=dn)
+
+
 def jacobi_identity_residuals(t: EllipticTriple, k: float) -> tuple[float, float]:
-    """Absolute residuals of sn^2 + cn^2 = 1 and dn^2 + k^2 sn^2 = 1."""
+    """Absolute residuals of sn^2 + cn^2 = 1 and dn^2 + k^2 sn^2 = 1.
+
+    Elementwise arrays when ``t`` holds arrays, as `_jacobi_grid` returns.
+    """
     r1 = abs(t.sn * t.sn + t.cn * t.cn - 1.0)
     r2 = abs(t.dn * t.dn + (k * t.sn) * (k * t.sn) - 1.0)
     return (r1, r2)

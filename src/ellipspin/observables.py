@@ -57,7 +57,7 @@ class InvariantResiduals:
 
 def polarization(state: sd.SpinState) -> Polarization:
     """Polarization vector of a pure state (see `spin_dynamics.pauli_expectation`)."""
-    return Polarization(*sd.pauli_expectation(state.psi1, state.psi2))
+    return Polarization(*(float(c[0]) for c in sd.pauli_expectation(state.psi1, state.psi2)))
 
 
 def reduced_field(tau: float, params: sd.SimParams) -> tuple[float, float, float]:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _dopri
-from .elliptic import jacobi
+from .elliptic import _elementwise, _jacobi_grid, jacobi
 from .errors import DomainError
 
 # CODATA 2018: Bohr magneton [J/T] and reduced Planck constant [J s].
@@ -194,6 +194,22 @@ def gauge_factor(tau: float, k: float) -> complex:
     return complex(re, -sign * im)
 
 
+def _gauge_factor_grid(taus: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of `gauge_factor` over a grid, bit for bit.
+
+    Both half-angle branches share the denominator 1 + |cn|, which is
+    never below 1, so selecting per element costs no division by zero.
+    """
+    trip = _jacobi_grid(taus, k)
+    sn, cn = trip.sn, trip.cn
+    pos = cn >= 0.0
+    one_plus_abs_cn = np.where(pos, 1.0 + cn, 1.0 - cn)
+    near = 0.5 * one_plus_abs_cn
+    far = 0.5 * sn * sn / one_plus_abs_cn
+    im = np.sqrt(np.where(pos, far, near))
+    return np.sqrt(np.where(pos, near, far)), np.where(sn < 0.0, im, -im)
+
+
 def map_frame(state: SpinState, tau: float, k: float, direction: FrameMap) -> SpinState:
     """Apply diag(f, f*) (rot -> lab) or its inverse (lab -> rot)."""
     f = gauge_factor(tau, k)
@@ -252,18 +268,37 @@ def _validate_grid(tau_grid: Sequence[float]) -> np.ndarray:
     return taus
 
 
-def pauli_expectation(psi1: complex, psi2: complex) -> tuple[float, float, float]:
+def _cmul(ar, ai, br, bi):
+    """(a * b).real, (a * b).imag from split parts, rounded as Python's complex product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _abs_squared(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """``abs(complex(re, im)) ** 2`` elementwise, bit for bit.
+
+    Both steps call libm as the scalar expression does: ``np.hypot`` is
+    libm's ``hypot``, and the square goes through ``pow`` (numpy would
+    turn ``** 2`` into a multiplication, which can round differently).
+    """
+    return _elementwise(math.pow, np.hypot(re, im), 2.0)
+
+
+def pauli_expectation(
+    psi1: complex | np.ndarray, psi2: complex | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(<sigma_x>, <sigma_y>, <sigma_z>) of the pure state (psi1, psi2).
 
     px = 2 Re(psi1* psi2), py = 2 Im(psi1* psi2), pz = |psi1|^2 - |psi2|^2;
-    the sign of py follows the standard Pauli sigma_y convention.
+    the sign of py follows the standard Pauli sigma_y convention.  The
+    amplitudes are complex numbers or equal-length 1-d complex arrays, and
+    each component comes back as an array of that length (one element for
+    numbers), rounded exactly as the scalar complex expressions round.
     """
-    cross = psi1.conjugate() * psi2
-    return (
-        2.0 * cross.real,
-        2.0 * cross.imag,
-        abs(psi1) ** 2 - abs(psi2) ** 2,
-    )
+    psi1 = np.atleast_1d(np.asarray(psi1, dtype=complex))
+    psi2 = np.atleast_1d(np.asarray(psi2, dtype=complex))
+    r1, i1, r2, i2 = psi1.real, psi1.imag, psi2.real, psi2.imag
+    cross_re, cross_im = _cmul(r1, -i1, r2, i2)
+    return (2.0 * cross_re, 2.0 * cross_im, _abs_squared(r1, i1) - _abs_squared(r2, i2))
 
 
 def evolve(
@@ -279,6 +314,11 @@ def evolve(
     pair.  Lab-frame amplitudes are recovered through the gauge factor,
     the flip probability is |psi2|^2, and the polarization vector is the
     Pauli expectation in the lab frame.  Norms are never renormalized.
+
+    The integrator runs scalar; everything after it works on the whole
+    grid at once (one grid descent for the gauge factor, split real and
+    imaginary arithmetic for the products) and gives the same bits as
+    evaluating `gauge_factor` and the complex expressions sample by sample.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
@@ -287,21 +327,16 @@ def evolve(
 
     states = _dopri.integrate(_bind_rotating(params), (initial.psi1, initial.psi2), taus, tol)
 
-    n = len(taus)
-    lab = np.empty((n, 2), dtype=complex)
-    p_flip = np.empty(n)
-    pol = np.empty((n, 3))
-    # Scalar arithmetic on the integrator's Python complex numbers: numpy's
-    # vectorised complex multiply and abs round differently in the last
-    # bit, and lists of per-sample tuples would triple the peak memory.
-    k = params.k
-    for i, (tau, (p1, p2)) in enumerate(zip(taus, states)):
-        f = gauge_factor(tau, k)
-        l1, l2 = f * p1, f.conjugate() * p2
-        lab[i, 0], lab[i, 1] = l1, l2
-        p_flip[i] = abs(p2) ** 2
-        pol[i] = pauli_expectation(l1, l2)
     rot = np.array(states, dtype=complex)
+    del states  # the list of per-sample tuples is the largest object here
+    # Split real/imaginary arithmetic: numpy's complex multiply and abs
+    # round differently from Python's in the last bit.
+    fr, fi = _gauge_factor_grid(taus, params.k)
+    lab = np.empty_like(rot)
+    lab.real[:, 0], lab.imag[:, 0] = _cmul(fr, fi, rot.real[:, 0], rot.imag[:, 0])
+    lab.real[:, 1], lab.imag[:, 1] = _cmul(fr, -fi, rot.real[:, 1], rot.imag[:, 1])
+    p_flip = _abs_squared(rot.real[:, 1], rot.imag[:, 1])
+    pol = np.column_stack(pauli_expectation(lab[:, 0], lab[:, 1]))
     return Trajectory(taus=taus, lab=lab, rot=rot, p_flip=p_flip, polarization=pol)
 
 

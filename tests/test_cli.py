@@ -342,6 +342,12 @@ class TestVerify:
         assert rc == 2
         assert err.startswith("config error") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_tol_rejected(self, value):
+        rc, err = run_in_process("verify", "heun", f"--tol={value}")
+        assert rc == 2
+        assert err.startswith("config error") and err.count("\n") == 1
+
 
 class TestEllipticTable:
     def test_table_rows(self):
@@ -362,6 +368,13 @@ class TestEllipticTable:
     def test_too_few_rows(self):
         proc = run_cli("elliptic-table", "0.5", "5.0", "1")
         assert proc.returncode == 2
+
+    def test_row_budget(self):
+        # Checked before any grid is allocated: 10^12 rows would need 7 TiB.
+        proc = run_cli("elliptic-table", "0.5", "10", "1000000000000", timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"config error") and proc.stderr.count(b"\n") == 1
+        assert b"Traceback" not in proc.stderr and proc.stdout == b""
 
 
 DENSE_CONFIG = """\
@@ -416,9 +429,9 @@ class TestCsvBytes:
         assert out.read_text() == csv_text("u,sn,cn,dn,res_sncn,res_dnsn", rows)
 
     def test_simulate_never_buffers_the_whole_file(self, tmp_path):
-        # Peak traced allocation of this 20,001-sample run: 4.9 MiB when
-        # rows are written a chunk at a time, 18 MiB when the file is
-        # joined into one string first.
+        # Peak traced allocation of this 20,001-sample run: 3.7 MiB when
+        # rows are written a chunk at a time; joining the file into one
+        # string first adds about 13 MiB.
         cfg, out = tmp_path / "d.cfg", tmp_path / "d.csv"
         cfg.write_text(DENSE_CONFIG.format(n=20001))
         argv = ("simulate", str(cfg), "-o", str(out))

@@ -20,6 +20,7 @@ from ellipspin import (
     jacobi_identity_residuals,
     quarter_period,
 )
+from ellipspin.elliptic import _jacobi_grid
 
 MODULI = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99]
 
@@ -168,6 +169,48 @@ class TestJacobi:
         r1, r2 = jacobi_identity_residuals(jacobi(u, k), k)
         assert r1 < 1e-12
         assert r2 < 1e-12
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestJacobiGrid:
+    """The grid descent returns the scalar descent's bits, element by element."""
+
+    @pytest.mark.parametrize("k", [0.0, 1e-8, 0.3, 0.7, 0.999, 1.0 - 1e-12, 1.0])
+    def test_bit_identical_to_scalar(self, k):
+        rng = np.random.default_rng(7)
+        parts = [rng.uniform(-200.0, 200.0, 4000), [0.0, -0.0, 200.0, -200.0, 1e-300]]
+        if k < 1.0:
+            m = np.arange(-12, 13)
+            big_k = quarter_period(k)
+            parts += [m * big_k, m * (2.0 * big_k), m * (4.0 * big_k)]
+            parts += [np.nextafter(m * big_k, math.inf), np.nextafter(m * big_k, -math.inf)]
+        u = np.concatenate(parts)
+        grid = _jacobi_grid(u, k)
+        scalar = [jacobi(x, k) for x in u.tolist()]
+        assert same_bits(grid.sn, [t.sn for t in scalar])
+        assert same_bits(grid.cn, [t.cn for t in scalar])
+        assert same_bits(grid.dn, [t.dn for t in scalar])
+
+    def test_identity_residuals_elementwise(self):
+        u = np.linspace(-5.0, 5.0, 41)
+        r1, r2 = jacobi_identity_residuals(_jacobi_grid(u, 0.7), 0.7)
+        scalar = [jacobi_identity_residuals(jacobi(x, 0.7), 0.7) for x in u.tolist()]
+        assert same_bits(r1, [r[0] for r in scalar])
+        assert same_bits(r2, [r[1] for r in scalar])
+
+    @pytest.mark.parametrize("bad_u", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_argument_rejected(self, bad_u):
+        with pytest.raises(DomainError):
+            _jacobi_grid(np.array([0.0, bad_u]), 0.5)
+
+    @pytest.mark.parametrize("bad_k", [-0.2, 1.2, math.nan])
+    def test_bad_modulus_rejected(self, bad_k):
+        with pytest.raises(DomainError):
+            _jacobi_grid(np.array([0.3]), bad_k)
 
 
 class TestIdentityResiduals:

@@ -227,6 +227,92 @@ class TestEvolve:
         assert abs(traj.lab[125, 0]) == pytest.approx(abs(traj.rot[125, 0]), abs=1e-14)
 
 
+def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
+    """(lab, rot, p_flip, polarization) from one scalar pass per sample.
+
+    The per-sample loop `evolve` ran before it worked on whole arrays,
+    kept as the reference for its bits.
+    """
+    states = _dopri.integrate(sd._bind_rotating(params), (initial.psi1, initial.psi2), taus, tol)
+    n = len(taus)
+    lab = np.empty((n, 2), dtype=complex)
+    p_flip = np.empty(n)
+    pol = np.empty((n, 3))
+    for i, (tau, (p1, p2)) in enumerate(zip(taus, states)):
+        f = gauge_factor(tau, params.k)
+        l1, l2 = f * p1, f.conjugate() * p2
+        lab[i, 0], lab[i, 1] = l1, l2
+        p_flip[i] = abs(p2) ** 2
+        cross = l1.conjugate() * l2
+        pol[i] = (2.0 * cross.real, 2.0 * cross.imag, abs(l1) ** 2 - abs(l2) ** 2)
+    return lab, np.array(states, dtype=complex), p_flip, pol
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
+
+
+class TestEvolveOnWholeGrid:
+    """`evolve` post-processes its grid as arrays and keeps the scalar bits."""
+
+    @pytest.mark.parametrize("k", [0.0, 0.64, 0.999, 1.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_bit_identical_to_scalar_loop(self, k, delta):
+        p = SimParams.from_detuning(0.3, delta, k)
+        for n in (1, 2, 241, 20001):
+            taus = np.linspace(0.0, 14.0, n)
+            traj = evolve(spin_up(), p, taus)
+            lab, rot, p_flip, pol = _scalar_evolve(spin_up(), p, taus)
+            assert same_bits(traj.lab, lab), n
+            assert same_bits(traj.rot, rot), n
+            assert same_bits(traj.p_flip, p_flip), n
+            assert same_bits(traj.polarization, pol), n
+
+    def test_gauge_factor_grid_matches_scalar(self):
+        rng = np.random.default_rng(3)
+        taus = np.concatenate([rng.uniform(-60.0, 60.0, 2000), [0.0, 2.0 * quarter_period(0.7)]])
+        for k in (0.0, 0.7, 1.0):
+            re, im = sd._gauge_factor_grid(taus, k)
+            scalar = [gauge_factor(t, k) for t in taus.tolist()]
+            assert same_bits(re, np.array([f.real for f in scalar]))
+            assert same_bits(im, np.array([f.imag for f in scalar]))
+
+    def test_pauli_expectation_number_and_array_agree(self):
+        rng = np.random.default_rng(5)
+        psi = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+        grid = sd.pauli_expectation(psi[:, 0], psi[:, 1])
+        for i, (a, b) in enumerate(psi.tolist()):
+            one = sd.pauli_expectation(a, b)
+            assert [c[i] for c in grid] == [c[0] for c in one]
+
+    def test_no_scalar_jacobi_per_sample(self, monkeypatch):
+        # Seed 1's detuned simulate-dense input: the per-sample gauge
+        # factor made 20,722 jacobi calls for 721 rhs calls.
+        counts = {"jacobi": 0, "rhs": 0}
+        scalar_jacobi, integrate = sd.jacobi, _dopri.integrate
+
+        def counting_jacobi(*args):
+            counts["jacobi"] += 1
+            return scalar_jacobi(*args)
+
+        def counting_integrate(rhs, *args):
+            def counted(t, y1, y2):
+                counts["rhs"] += 1
+                return rhs(t, y1, y2)
+
+            return integrate(counted, *args)
+
+        monkeypatch.setattr(sd, "jacobi", counting_jacobi)
+        monkeypatch.setattr(_dopri, "integrate", counting_integrate)
+        p = SimParams.from_detuning(0.2671, 0.1882, 0.6421)
+        evolve(spin_up(), p, np.linspace(0.0, 14.0, 20001))
+        assert 0 < counts["rhs"] < 2000
+        assert counts["jacobi"] <= counts["rhs"] + 2
+
+
 class TestPropagator:
     def test_identity_at_origin(self):
         p = SimParams.from_detuning(0.2, 0.1, 0.5)
