@@ -33,6 +33,9 @@ from .errors import DomainError
 # practice.
 _AGM_RTOL = 1e-15
 _AGM_MAX_ITER = 64
+# |u| from which sech is formed from exp(-|u|): cosh overflows just past
+# 710.47, and sech is subnormal from here on.
+_SECH_TAIL = 710.0
 
 
 @dataclass(frozen=True)
@@ -126,13 +129,24 @@ def quarter_period(k: float) -> float:
     return _amplitude_tables(k)[2]
 
 
+def _sech(u: float) -> float:
+    """1 / cosh(u), and 2 e^-|u| / (1 + e^-2|u|) where cosh(u) would overflow."""
+    if abs(u) < _SECH_TAIL:
+        return 1.0 / math.cosh(u)
+    e = math.exp(-abs(u))
+    return 2.0 * e / (1.0 + e * e)
+
+
 def jacobi(u: float, k: float) -> EllipticTriple:
     """Evaluate sn(u, k), cn(u, k), dn(u, k) for real u and k in [0, 1].
 
     The argument is reduced modulo the real period 4K before the Landen
     descent so that long arguments do not degrade the amplitude
-    recursion.  dn is recovered from dn^2 = 1 - k^2 sn^2, whose positive
-    branch is the correct one for real argument and k in [0, 1].
+    recursion.  dn is recovered from dn^2 = (1 - k sn)(1 + k sn) while
+    |k sn| <= 1/2, and from dn^2 = k'^2 + k^2 cn^2 (DLMF 22.6.1) beyond:
+    that is a sum of non-negative terms, so it does not cancel where |sn|
+    is near 1 and k near 1.  Its positive branch is the correct one for
+    real argument and k in [0, 1].
     """
     u = float(u)
     if not math.isfinite(u):
@@ -143,7 +157,7 @@ def jacobi(u: float, k: float) -> EllipticTriple:
         return EllipticTriple(sn=math.sin(u), cn=math.cos(u), dn=1.0)
     if k == 1.0:
         # Pulse limit: the AGM scheme degenerates, the closed forms are exact.
-        sech = 1.0 / math.cosh(u)
+        sech = _sech(u)
         return EllipticTriple(sn=math.tanh(u), cn=sech, dn=sech)
 
     a_list, c_list, big_k = _amplitude_tables(k)
@@ -160,7 +174,12 @@ def jacobi(u: float, k: float) -> EllipticTriple:
 
     sn = math.sin(phi)
     cn = math.cos(phi)
-    dn = math.sqrt((1.0 - k * sn) * (1.0 + k * sn))
+    ksn = k * sn
+    if abs(ksn) <= 0.5:
+        dn = math.sqrt((1.0 - ksn) * (1.0 + ksn))
+    else:
+        kcn = k * cn
+        dn = math.sqrt((1.0 - k) * (1.0 + k) + kcn * kcn)
     return EllipticTriple(sn=sn, cn=cn, dn=dn)
 
 
@@ -185,7 +204,10 @@ def _jacobi_grid(u: np.ndarray, k: float) -> EllipticTriple:
             sn=_elementwise(math.sin, u), cn=_elementwise(math.cos, u), dn=np.ones(len(u))
         )
     if k == 1.0:
-        sech = 1.0 / _elementwise(math.cosh, u)
+        tail = np.abs(u) >= _SECH_TAIL
+        sech = 1.0 / _elementwise(math.cosh, np.where(tail, 0.0, u))
+        e = _elementwise(math.exp, -np.abs(u[tail]))
+        sech[tail] = 2.0 * e / (1.0 + e * e)
         return EllipticTriple(sn=_elementwise(math.tanh, u), cn=sech, dn=sech)
 
     a_list, c_list, big_k = _amplitude_tables(k)
@@ -199,7 +221,12 @@ def _jacobi_grid(u: np.ndarray, k: float) -> EllipticTriple:
 
     sn = _elementwise(math.sin, phi)
     cn = _elementwise(math.cos, phi)
-    dn = np.sqrt((1.0 - k * sn) * (1.0 + k * sn))
+    ksn, kcn = k * sn, k * cn
+    dn = np.sqrt(
+        np.where(
+            np.abs(ksn) <= 0.5, (1.0 - ksn) * (1.0 + ksn), (1.0 - k) * (1.0 + k) + kcn * kcn
+        )
+    )
     return EllipticTriple(sn=sn, cn=cn, dn=dn)
 
 

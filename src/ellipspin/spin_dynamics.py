@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _dopri
-from .elliptic import _elementwise, _jacobi_grid, jacobi
+from .elliptic import _elementwise, _jacobi_grid, jacobi, quarter_period
 from .errors import DomainError
 
 # CODATA 2018: Bohr magneton [J/T] and reduced Planck constant [J s].
@@ -301,6 +301,94 @@ def pauli_expectation(
     return (2.0 * cross_re, 2.0 * cross_im, _abs_squared(r1, i1) - _abs_squared(r2, i2))
 
 
+def _power_times(
+    col: tuple[complex, complex], m: int, v: tuple[complex, complex]
+) -> tuple[complex, complex]:
+    """U^m v for U = [[a, -conj(b)], [b, conj(a)]] with first column ``col`` = (a, b).
+
+    Binary powering: one squaring per bit of ``m``, so a power costs
+    O(log m) products.  Products of matrices of this form keep the form,
+    so each is carried by its first column alone.
+    """
+    a, b = col
+    v1, v2 = v
+    while m:
+        if m & 1:
+            v1, v2 = a * v1 - b.conjugate() * v2, b * v1 + a.conjugate() * v2
+        m >>= 1
+        if m:
+            a, b = a * a - b.conjugate() * b, b * a + a.conjugate() * b
+    return v1, v2
+
+
+def _rotating_states(
+    params: SimParams, psi0: tuple[complex, complex], taus: np.ndarray, tol: float
+) -> np.ndarray:
+    """Rotating-frame states U(tau_i) psi0, composed from one period of the generator.
+
+    The generator a sigma_x + (D/w) dn(tau, k) sigma_z depends on tau only
+    through dn, whose period is T = 2K(k) (infinite at k = 1).  So with
+    tau = n T + r, 0 <= r < T, the propagator is U(tau) = U(r) U(T)^n.
+    One integration from (1, 0) over the sorted offsets r_i, with T
+    appended when some n_i > 0, gives the first column (a, b) of every
+    U(r_i) and of U(T).  The generator is traceless Hermitian, so each
+    propagator is [[a, -conj(b)], [b, conj(a)]] exactly.  The powers of
+    U(T) act on psi0 once per distinct n_i, by squaring across the gaps
+    between them, so cost and memory grow with the sample count, not
+    with tau / T.  k = 1, or a grid ending below T, is the case where
+    every n_i = 0.  Nothing is renormalized.
+
+    ``taus`` is non-decreasing and starts at 0.  Returns an (n, 2)
+    complex array; the per-sample products use split real/imaginary
+    arithmetic, bit for bit the Python complex expressions.
+    """
+    period = 2.0 * quarter_period(params.k) if params.k < 1.0 else math.inf
+    turns, offsets = np.divmod(taus, period)
+    # taus increase, so the samples of each n form one run, in order.
+    starts = np.flatnonzero(np.diff(turns, prepend=-1.0))
+    distinct, counts = turns[starts], np.diff(starts, append=len(turns))
+    del turns, starts
+    order = np.argsort(offsets, kind="stable")
+    grid = offsets[order].tolist()
+    del offsets
+    whole = distinct[-1] > 0.0  # some sample lies a period or more out
+    if whole:
+        grid.append(period)
+    cols = _dopri.integrate(_bind_rotating(params), (1.0 + 0j, 0j), grid, tol)
+    del grid
+    one_period = cols.pop() if whole else None
+
+    v = (complex(psi0[0]), complex(psi0[1]))
+    done = 0
+    runs = []
+    for n in distinct.tolist():
+        if n > done:
+            v = _power_times(one_period, int(n) - done, v)
+            done = int(n)
+        runs.append(v)
+
+    # The list of per-sample tuples is the largest object here: free it
+    # before any other per-sample array exists.
+    sorted_cols = np.array(cols, dtype=complex)
+    del cols
+    out = np.empty_like(sorted_cols)
+    out[order] = sorted_cols
+    del sorted_cols, order
+    runs = np.repeat(np.array(runs, dtype=complex), counts, axis=0)
+    ar, ai, br, bi = out.real[:, 0], out.imag[:, 0], out.real[:, 1], out.imag[:, 1]
+    v1r, v1i, v2r, v2i = runs.real[:, 0], runs.imag[:, 0], runs.real[:, 1], runs.imag[:, 1]
+    # psi1 = a v1 - conj(b) v2 and psi2 = b v1 + conj(a) v2.
+    x1r, x1i = _cmul(ar, ai, v1r, v1i)
+    y1r, y1i = _cmul(br, -bi, v2r, v2i)
+    x1r -= y1r
+    x1i -= y1i
+    x2r, x2i = _cmul(br, bi, v1r, v1i)
+    y2r, y2i = _cmul(ar, -ai, v2r, v2i)
+    out.real[:, 1], out.imag[:, 1] = x2r + y2r, x2i + y2i
+    out.real[:, 0], out.imag[:, 0] = x1r, x1i
+    return out
+
+
 def evolve(
     initial: SpinState,
     params: SimParams,
@@ -315,9 +403,12 @@ def evolve(
     the flip probability is |psi2|^2, and the polarization vector is the
     Pauli expectation in the lab frame.  Norms are never renormalized.
 
-    The integrator runs scalar; everything after it works on the whole
-    grid at once (one grid descent for the gauge factor, split real and
-    imaginary arithmetic for the products) and gives the same bits as
+    The integrator covers at most one period T = 2K(k) of the generator,
+    however long the grid: each state is U(tau mod T) U(T)^n psi0 (see
+    `_rotating_states`).  At k = 1 the drive is aperiodic and the whole
+    grid is integrated.  Everything after the integrator works on the
+    whole grid at once (one grid descent for the gauge factor, split real
+    and imaginary arithmetic for the products) and gives the same bits as
     evaluating `gauge_factor` and the complex expressions sample by sample.
     """
     if not tol > 0.0:
@@ -325,10 +416,7 @@ def evolve(
     initial.require_normalized()
     taus = _validate_grid(tau_grid)
 
-    states = _dopri.integrate(_bind_rotating(params), (initial.psi1, initial.psi2), taus, tol)
-
-    rot = np.array(states, dtype=complex)
-    del states  # the list of per-sample tuples is the largest object here
+    rot = _rotating_states(params, (initial.psi1, initial.psi2), taus, tol)
     # Split real/imaginary arithmetic: numpy's complex multiply and abs
     # round differently from Python's in the last bit.
     fr, fi = _gauge_factor_grid(taus, params.k)
@@ -365,25 +453,29 @@ def evolve_lab_frame(
 
 
 def propagator(tau: float, params: SimParams, tol: float = DEFAULT_TOL) -> Propagator:
-    """Lab-frame propagator built by evolving the two basis states.
+    """Lab-frame propagator from the rotating-frame one at ``tau``.
+
+    The rotating-frame propagator is composed from one period of the
+    generator, as in `evolve`.  Its first column (a, b) is the state
+    reached from (1, 0); the generator is traceless Hermitian, so the
+    second column is (-conj(b), conj(a)) exactly.
 
     The result is unitary within about ``tol`` at any horizon and drive.
     At a fixed local tolerance the unitarity defect grows by about that
     tolerance per radian the state turns through, and the rotating-frame
-    rhs turns it at most at the Rabi rate.  So both columns are integrated
-    at ``tol / max(1, tau * rabi_over_omega)``.
+    rhs turns it at most at the Rabi rate.  So the column is computed at
+    ``tol / max(1, tau * rabi_over_omega)``.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if tau < 0.0:
         raise DomainError(f"tau must be non-negative, got {tau!r}")
-    rhs = _bind_rotating(params)
     local_tol = tol / max(1.0, tau * params.rabi_over_omega)
-    a1, a2 = _dopri.integrate_to(rhs, (1.0 + 0j, 0.0j), tau, local_tol)
-    b1, b2 = _dopri.integrate_to(rhs, (0.0j, 1.0 + 0j), tau, local_tol)
+    col = _rotating_states(params, (1.0 + 0j, 0j), np.array([0.0, tau]), local_tol)
+    a, b = complex(col[-1, 0]), complex(col[-1, 1])
     f = gauge_factor(tau, params.k)
     fc = f.conjugate()
-    return Propagator(u11=f * a1, u12=f * b1, u21=fc * a2, u22=fc * b2)
+    return Propagator(u11=f * a, u12=-f * b.conjugate(), u21=fc * b, u22=fc * a.conjugate())
 
 
 def rabi_probability(tau: float, params: SimParams) -> float:

@@ -127,6 +127,25 @@ def invariants_suite(tol: float = sd.DEFAULT_TOL) -> list[CheckResult]:
         )
     )
 
+    # `evolve` composes U(tau mod T) U(T)^n from one period T = 2K of the
+    # generator; the lab system, integrated straight through and never
+    # composed, must give the same |psi2|^2 across many periods.  The
+    # coarse grid steps several periods between samples, so powers of
+    # U(T) are squared there.  Own seed, so the draws of the other checks
+    # stay as they were.
+    rng_pc = np.random.default_rng(_SEED + 3)
+    taus_pc = np.linspace(0.0, 50.0, 201)
+    worst = 0.0
+    for p in _random_params(rng_pc, 3):
+        z = rng_pc.normal(size=4)
+        z /= np.linalg.norm(z)
+        state = sd.SpinState(complex(z[0], z[1]), complex(z[2], z[3]))
+        p_direct = np.abs(sd.evolve_lab_frame(state, p, taus_pc, tol=tol)[:, 1]) ** 2
+        for stride in (1, 40):
+            traj = sd.evolve(state, p, taus_pc[::stride], tol=tol)
+            worst = max(worst, float(np.max(np.abs(traj.p_flip - p_direct[::stride]))))
+    results.append(CheckResult("period_composition", worst, 1e-8))
+
     # Wronskian of two independent flip amplitudes is constant, and the
     # fundamental-pair probability formula reproduces the Cauchy answer.
     p = _random_params(rng, 1)[0]

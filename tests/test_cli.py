@@ -224,6 +224,19 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert b"theta=" in proc.stderr
 
+    def test_pulse_limit_past_cosh_overflow(self, tmp_path):
+        # At k = 1, dn(tau) = sech(tau), and 1 / cosh(tau) overflows past
+        # tau = 710.47; this run once ended in an OverflowError traceback.
+        cfg = tmp_path / "pulse.cfg"
+        cfg.write_text(
+            "k = 1\nh_over_omega = 0.3\ndelta_over_omega = 0.1\ntau_max = 800\nn_samples = 11\n"
+        )
+        proc = run_cli("simulate", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        table = parse_csv(proc.stdout)
+        assert len(table) == 11 and np.all(np.isfinite(table["p_flip"]))
+
     def test_unknown_output_kind(self, tmp_path):
         cfg = tmp_path / "o.cfg"
         cfg.write_text(RESONANCE_CONFIG.replace("outputs = trajectory", "outputs = plots"))
@@ -327,6 +340,14 @@ class TestVerify:
         assert proc.returncode == 1
         assert b"flip_probability_reduction_vs_ode" in proc.stderr
 
+    def test_period_composition_is_checked_against_a_direct_path(self):
+        proc = run_cli("verify", "invariants")
+        assert proc.returncode == 0, proc.stderr
+        assert b"PASS  period_composition" in proc.stdout
+        proc = run_cli("verify", "invariants", "--tol", "0.1")
+        assert proc.returncode == 1
+        assert b"period_composition" in proc.stderr
+
     def test_non_unitary_propagator_is_a_failed_check(self):
         proc = run_cli("verify", "wigner", "--tol", "0.1")
         assert proc.returncode == 1
@@ -360,6 +381,13 @@ class TestEllipticTable:
         assert np.max(table["res_sncn"]) < 1e-12
         assert np.max(table["res_dnsn"]) < 1e-12
         assert table["u"][-1] == pytest.approx(5.0)
+
+    def test_pulse_limit_past_cosh_overflow(self):
+        proc = run_cli("elliptic-table", "1", "800", "11")
+        assert proc.returncode == 0, proc.stderr
+        assert b"Traceback" not in proc.stderr
+        table = parse_csv(proc.stdout)
+        assert table["sn"][-1] == 1.0 and table["cn"][-1] == table["dn"][-1] == 0.0
 
     def test_bad_modulus(self):
         proc = run_cli("elliptic-table", "1.5", "5.0", "11")

@@ -110,6 +110,35 @@ class TestJacobi:
                 worst = max(worst, *jacobi_identity_residuals(jacobi(float(u), k), k))
         assert worst < 1e-12
 
+    def test_pulse_limit_beyond_cosh_overflow(self):
+        # cosh overflows past |u| = 710.47; sech keeps going to 0 from above.
+        for u in (709.9, 710.0, 710.5, 745.0, 800.0, 1e6):
+            for sign in (1.0, -1.0):
+                trip = jacobi(sign * u, 1.0)
+                assert trip.sn == sign * 1.0
+                assert trip.cn == trip.dn
+                assert 0.0 <= trip.cn <= 1e-300
+        assert jacobi(800.0, 1.0).cn == 0.0
+        assert jacobi(710.0, 1.0).cn == pytest.approx(2.0 * math.exp(-710.0), rel=1e-15)
+
+    def test_dn_near_unit_modulus_against_mpmath(self):
+        # dn^2 = 1 - k^2 sn^2 cancels where |sn| is near 1, losing about
+        # 1e-16 / k' (1e-9 at k = 1 - 1e-15); the worst points sit at odd
+        # multiples of K, so those are sampled too.
+        import mpmath as mp
+
+        worst = 0.0
+        with mp.workdps(40):
+            for j in range(3, 16):
+                k = 1.0 - 10.0**-j
+                m = mp.mpf(k) ** 2
+                big_k = quarter_period(k)
+                odd = [q * big_k for q in (-3, -1, 1, 3) if abs(q * big_k) <= 30.0]
+                for u in np.linspace(-30.0, 30.0, 241).tolist() + odd:
+                    ref = mp.ellipfun("dn", mp.mpf(u), m=m)
+                    worst = max(worst, abs(jacobi(u, k).dn - float(ref)))
+        assert worst <= 1e-12
+
     def test_dn_stays_in_band(self):
         for k in MODULI:
             kp = math.sqrt(1.0 - k * k)
@@ -183,6 +212,11 @@ class TestJacobiGrid:
     def test_bit_identical_to_scalar(self, k):
         rng = np.random.default_rng(7)
         parts = [rng.uniform(-200.0, 200.0, 4000), [0.0, -0.0, 200.0, -200.0, 1e-300]]
+        # Past |u| = 710.47 cosh overflows; the k = 1 sech switches form at 710.
+        tail = np.array([709.9, 710.0, 710.5, 745.2, 800.0, 1e4, 1e6])
+        parts += [rng.uniform(-2000.0, 2000.0, 500), tail, -tail]
+        sides = [-math.inf, math.inf]
+        parts += [np.nextafter(710.0, sides), np.nextafter(-710.0, sides)]
         if k < 1.0:
             m = np.arange(-12, 13)
             big_k = quarter_period(k)

@@ -227,25 +227,57 @@ class TestEvolve:
         assert abs(traj.lab[125, 0]) == pytest.approx(abs(traj.rot[125, 0]), abs=1e-14)
 
 
-def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
-    """(lab, rot, p_flip, polarization) from one scalar pass per sample.
+def _scalar_power_times(col, m, v):
+    """U^m v by binary powering, U = [[a, -conj(b)], [b, conj(a)]] from its column (a, b)."""
+    a, b = col
+    v1, v2 = v
+    while m:
+        if m & 1:
+            v1, v2 = a * v1 - b.conjugate() * v2, b * v1 + a.conjugate() * v2
+        m >>= 1
+        if m:
+            a, b = a * a - b.conjugate() * b, b * a + a.conjugate() * b
+    return v1, v2
 
-    The per-sample loop `evolve` ran before it worked on whole arrays,
-    kept as the reference for its bits.
+
+def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
+    """(lab, rot, p_flip, polarization) composed one sample at a time.
+
+    The same one-period integration `evolve` makes, then a scalar Python
+    loop: each state is U(r) U(T)^n psi0 for tau = n T + r, with the power
+    carried forward across the gaps between successive n, and the gauge
+    factor and observables from the complex expressions.  The reference
+    for the bits of `evolve`'s array arithmetic.
     """
-    states = _dopri.integrate(sd._bind_rotating(params), (initial.psi1, initial.psi2), taus, tol)
+    period = 2.0 * quarter_period(params.k) if params.k < 1.0 else math.inf
+    split = [divmod(tau, period) for tau in taus.tolist()]
+    order = sorted(range(len(split)), key=lambda i: split[i][1])
+    grid = [split[i][1] for i in order] + ([period] if split[-1][0] > 0.0 else [])
+    cols = _dopri.integrate(sd._bind_rotating(params), (1.0 + 0j, 0j), grid, tol)
+    col_at = [None] * len(split)
+    for j, i in enumerate(order):
+        col_at[i] = cols[j]
     n = len(taus)
     lab = np.empty((n, 2), dtype=complex)
+    rot = np.empty((n, 2), dtype=complex)
     p_flip = np.empty(n)
     pol = np.empty((n, 3))
-    for i, (tau, (p1, p2)) in enumerate(zip(taus, states)):
+    v, done = (complex(initial.psi1), complex(initial.psi2)), 0
+    for i, tau in enumerate(taus.tolist()):
+        turns = int(split[i][0])
+        if turns > done:
+            v, done = _scalar_power_times(cols[-1], turns - done, v), turns
+        a, b = col_at[i]
+        p1 = a * v[0] - b.conjugate() * v[1]
+        p2 = b * v[0] + a.conjugate() * v[1]
         f = gauge_factor(tau, params.k)
         l1, l2 = f * p1, f.conjugate() * p2
+        rot[i] = p1, p2
         lab[i, 0], lab[i, 1] = l1, l2
         p_flip[i] = abs(p2) ** 2
         cross = l1.conjugate() * l2
         pol[i] = (2.0 * cross.real, 2.0 * cross.imag, abs(l1) ** 2 - abs(l2) ** 2)
-    return lab, np.array(states, dtype=complex), p_flip, pol
+    return lab, rot, p_flip, pol
 
 
 def same_bits(a, b) -> bool:
@@ -262,14 +294,17 @@ class TestEvolveOnWholeGrid:
     @pytest.mark.parametrize("delta", [0.0, 0.2])
     def test_bit_identical_to_scalar_loop(self, k, delta):
         p = SimParams.from_detuning(0.3, delta, k)
-        for n in (1, 2, 241, 20001):
-            taus = np.linspace(0.0, 14.0, n)
-            traj = evolve(spin_up(), p, taus)
-            lab, rot, p_flip, pol = _scalar_evolve(spin_up(), p, taus)
-            assert same_bits(traj.lab, lab), n
-            assert same_bits(traj.rot, rot), n
-            assert same_bits(traj.p_flip, p_flip), n
-            assert same_bits(traj.polarization, pol), n
+        tilted = SpinState(complex(0.6, 0.1), complex(-0.2, 0.768114574786861))
+        cases = [(spin_up(), 14.0, n) for n in (1, 2, 241, 20001)]
+        cases += [(tilted, 14.0, 241), (tilted, 5000.0, 241)]
+        for initial, tau_max, n in cases:
+            taus = np.linspace(0.0, tau_max, n)
+            traj = evolve(initial, p, taus)
+            lab, rot, p_flip, pol = _scalar_evolve(initial, p, taus)
+            assert same_bits(traj.lab, lab), (tau_max, n)
+            assert same_bits(traj.rot, rot), (tau_max, n)
+            assert same_bits(traj.p_flip, p_flip), (tau_max, n)
+            assert same_bits(traj.polarization, pol), (tau_max, n)
 
     def test_gauge_factor_grid_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -311,6 +346,88 @@ class TestEvolveOnWholeGrid:
         evolve(spin_up(), p, np.linspace(0.0, 14.0, 20001))
         assert 0 < counts["rhs"] < 2000
         assert counts["jacobi"] <= counts["rhs"] + 2
+
+
+def _direct(initial, params, taus, tol=sd.DEFAULT_TOL):
+    """Rotating-frame states integrated straight through the grid, never composed."""
+    return np.array(
+        _dopri.integrate(sd._bind_rotating(params), (initial.psi1, initial.psi2), taus, tol)
+    )
+
+
+def _counting_rhs(monkeypatch) -> dict:
+    """Count every rhs call the integrator makes from here on."""
+    counts = {"rhs": 0}
+    integrate = _dopri.integrate
+
+    def counting(rhs, *args):
+        def counted(t, y1, y2):
+            counts["rhs"] += 1
+            return rhs(t, y1, y2)
+
+        return integrate(counted, *args)
+
+    monkeypatch.setattr(_dopri, "integrate", counting)
+    return counts
+
+
+class TestPeriodComposition:
+    """`evolve` integrates one period 2K of dn and composes the rest."""
+
+    TILTED = SpinState(complex(0.6, 0.1), complex(-0.2, 0.768114574786861))
+
+    @pytest.mark.parametrize("k", [0.0, 0.3, 0.7, 0.999])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, -0.35])
+    def test_matches_direct_integration(self, k, delta):
+        p = SimParams.from_detuning(0.3, delta, k)
+        period = 2.0 * quarter_period(k)
+        whole = np.arange(1, 6) * period
+        taus = np.unique(
+            np.concatenate(
+                [
+                    np.linspace(0.0, 5.5 * period, 301),
+                    whole,
+                    np.nextafter(whole, math.inf),
+                    np.nextafter(whole, -math.inf),
+                ]
+            )
+        )
+        traj = evolve(self.TILTED, p, taus)
+        assert np.max(np.abs(traj.rot - _direct(self.TILTED, p, taus))) < 1e-8
+
+    @pytest.mark.parametrize("k", [0.5, 0.95])
+    def test_grid_ends_at_or_just_past_one_period(self, k):
+        p = SimParams.from_detuning(0.4, 0.25, k)
+        period = 2.0 * quarter_period(k)
+        for tau_max in (period, np.nextafter(period, math.inf), np.nextafter(period, 0.0)):
+            taus = np.linspace(0.0, tau_max, 37)
+            traj = evolve(self.TILTED, p, taus)
+            assert np.max(np.abs(traj.rot - _direct(self.TILTED, p, taus))) < 1e-8
+
+    def test_one_sample_grid(self):
+        p = SimParams.from_detuning(0.4, 0.25, 0.6)
+        traj = evolve(self.TILTED, p, [0.0])
+        assert traj.rot.tolist() == [[self.TILTED.psi1, self.TILTED.psi2]]
+
+    def test_cost_does_not_grow_with_the_horizon(self, monkeypatch):
+        # 88,525 rhs calls when every period up to tau 2000 was integrated.
+        counts = _counting_rhs(monkeypatch)
+        p = SimParams.from_detuning(0.25, 0.1, 0.7)
+        evolve(spin_up(), p, np.linspace(0.0, 2000.0, 201))
+        assert 0 < counts["rhs"] < 1000
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        import tracemalloc
+
+        p = SimParams.from_detuning(0.25, 0.1, 0.7)
+        tracemalloc.start()
+        try:
+            traj = evolve(spin_up(), p, np.linspace(0.0, 1e8, 11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(traj.rot))
+        assert peak < 4 * 2**20
 
 
 class TestPropagator:
@@ -360,6 +477,19 @@ class TestPropagator:
     def test_defect_stays_near_tol(self, h, delta, k, tau):
         p = SimParams.from_detuning(h, delta, k)
         assert propagator(tau, p, tol=1e-10).unitarity_defect() < 2e-10
+
+    def test_columns_match_direct_integration(self):
+        # The second column comes from SU(2) symmetry, not from integrating (0, 1).
+        p = SimParams.from_detuning(0.4, 0.2, 0.8)
+        for tau in (0.9, 3.7, 2.0 * quarter_period(0.8), 31.0):
+            u = propagator(tau, p)
+            f = gauge_factor(tau, p.k)
+            tol = sd.DEFAULT_TOL / max(1.0, tau * p.rabi_over_omega)
+            for col, initial in ((0, spin_up()), (1, SpinState(0.0j, 1.0 + 0j))):
+                rot = _direct(initial, p, [0.0, tau], tol)
+                lab = u.as_matrix()[:, col]
+                assert abs(lab[0] - f * rot[-1, 0]) < 1e-9
+                assert abs(lab[1] - f.conjugate() * rot[-1, 1]) < 1e-9
 
     def test_apply_matches_evolve(self):
         p = SimParams.from_detuning(0.4, 0.2, 0.8)
@@ -526,18 +656,7 @@ class TestDenseOutput:
     def test_step_size_is_not_capped(self, monkeypatch):
         # A step cap sized for cubic-Hermite dense output (h = 5.8e-3 here)
         # costs 20,569 rhs calls on this run; error control alone about 900.
-        calls = 0
-        integrate = _dopri.integrate
-
-        def counting(rhs, *args):
-            def counted(t, y1, y2):
-                nonlocal calls
-                calls += 1
-                return rhs(t, y1, y2)
-
-            return integrate(counted, *args)
-
-        monkeypatch.setattr(_dopri, "integrate", counting)
+        counts = _counting_rhs(monkeypatch)
         p = SimParams.from_detuning(0.25, 0.1, 0.7)
         evolve(spin_up(), p, np.linspace(0.0, 20.0, 201), tol=1e-10)
-        assert 0 < calls < 2000
+        assert 0 < counts["rhs"] < 2000
