@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -45,11 +46,9 @@ _OTHER_KEYS = (
     "initial_re2",
     "initial_im2",
     "outputs",
-    "sweep_cap",
 )
 _KNOWN_KEYS = set(_DIMENSIONLESS_KEYS) | set(_PHYSICAL_KEYS) | set(_OTHER_KEYS)
 
-DEFAULT_SWEEP_CAP = 100_000
 # Smallest accepted integrator tolerance.  Below double roundoff the
 # error control can no longer be satisfied and shrinks the step until the
 # run crawls (tol = 1e-22 takes seconds at tau 2; 1e-23 runs for minutes).
@@ -81,7 +80,6 @@ class Scenario:
     k_grid: list[float] = field(default_factory=list)
     delta_grid: list[float] = field(default_factory=list)
     h_grid: list[float] = field(default_factory=list)
-    sweep_cap: int = DEFAULT_SWEEP_CAP
 
 
 def _read_pairs(path: str) -> dict[str, tuple[str, int, int]]:
@@ -213,11 +211,6 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
     else:
         outputs = ("trajectory",)
 
-    sweep_cap_f = _parse_float(pairs, "sweep_cap", default=float(DEFAULT_SWEEP_CAP))
-    sweep_cap = int(sweep_cap_f)
-    if sweep_cap != sweep_cap_f or sweep_cap < 1:
-        raise ConfigError(f"sweep_cap must be a positive integer, got {sweep_cap_f!r}")
-
     try:
         params = sd.SimParams.from_detuning(h_grid[0], delta_grid[0], k_grid[0])
     except DomainError as exc:
@@ -233,7 +226,6 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
         k_grid=k_grid,
         delta_grid=delta_grid,
         h_grid=h_grid,
-        sweep_cap=sweep_cap,
     )
 
 
@@ -247,28 +239,29 @@ def _fmt(x: float) -> str:
 _CHUNK_ROWS = 1024
 
 
-def _write_rows(stream, header: str, rows) -> None:
+def _write_rows(output: str | None, header: str, rows) -> None:
     """Write ``header`` and then each tuple of floats in ``rows`` as a CSV line.
 
-    ``"%.17g" % x`` gives the same bytes as ``_fmt(x)`` for a float.
+    The CSV goes to the file ``output``, opened and closed here, or to
+    stdout when ``output`` is None.  ``"%.17g" % x`` gives the same bytes
+    as ``_fmt(x)`` for a float.
     """
-    stream.write(header + "\n")
-    template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        stream.write("".join([template % row for row in chunk]))
+    with (
+        open(output, "w", encoding="ascii", newline="\n")
+        if output is not None
+        else contextlib.nullcontext(sys.stdout)
+    ) as stream:
+        stream.write(header + "\n")
+        template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+        rows = iter(rows)
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            stream.write("".join([template % row for row in chunk]))
 
 
 def _column_rows(*columns: np.ndarray):
     """Rows of equal-length float arrays, converted to Python floats a chunk at a time."""
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         yield from zip(*(c[start : start + _CHUNK_ROWS].tolist() for c in columns))
-
-
-def _open_output(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline="\n"), True
 
 
 def cmd_simulate(config_path: str, output: str | None) -> int:
@@ -288,28 +281,23 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    stream, owned = _open_output(output)
-    try:
-        lab, pol = traj.lab, traj.polarization
-        _write_rows(
-            stream,
-            "tau,re_psi1,im_psi1,re_psi2,im_psi2,p_flip,px,py,pz,norm_drift",
-            _column_rows(
-                traj.taus,
-                lab[:, 0].real,
-                lab[:, 0].imag,
-                lab[:, 1].real,
-                lab[:, 1].imag,
-                traj.p_flip,
-                pol[:, 0],
-                pol[:, 1],
-                pol[:, 2],
-                traj.norm_drift,
-            ),
-        )
-    finally:
-        if owned:
-            stream.close()
+    lab, pol = traj.lab, traj.polarization
+    _write_rows(
+        output,
+        "tau,re_psi1,im_psi1,re_psi2,im_psi2,p_flip,px,py,pz,norm_drift",
+        _column_rows(
+            traj.taus,
+            lab[:, 0].real,
+            lab[:, 0].imag,
+            lab[:, 1].real,
+            lab[:, 1].imag,
+            traj.p_flip,
+            pol[:, 0],
+            pol[:, 1],
+            pol[:, 2],
+            traj.norm_drift,
+        ),
+    )
 
     # Extra requested outputs go to stderr so the CSV bytes stay canonical.
     if "heun_check" in scenario.outputs:
@@ -364,13 +352,6 @@ def cmd_sweep(config_path: str, output: str | None) -> int:
         for d in scenario.delta_grid
         for h in scenario.h_grid
     ]
-    if len(grid) > scenario.sweep_cap:
-        print(
-            f"config error: grid has {len(grid)} runs, cap is {scenario.sweep_cap}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-
     taus = np.linspace(0.0, scenario.tau_max, scenario.n_samples)
     try:
         all_pflip = []
@@ -384,21 +365,16 @@ def cmd_sweep(config_path: str, output: str | None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    stream, owned = _open_output(output)
-    try:
-        tau_list = taus.tolist()
-        _write_rows(
-            stream,
-            "k,delta_over_omega,h_over_omega,tau,p_flip",
-            (
-                row
-                for (k, d, h), pf in zip(grid, all_pflip)
-                for row in zip(repeat(k), repeat(d), repeat(h), tau_list, pf.tolist())
-            ),
-        )
-    finally:
-        if owned:
-            stream.close()
+    tau_list = taus.tolist()
+    _write_rows(
+        output,
+        "k,delta_over_omega,h_over_omega,tau,p_flip",
+        (
+            row
+            for (k, d, h), pf in zip(grid, all_pflip)
+            for row in zip(repeat(k), repeat(d), repeat(h), tau_list, pf.tolist())
+        ),
+    )
     return EXIT_OK
 
 
@@ -442,16 +418,11 @@ def cmd_elliptic_table(k: float, u_max: float, n: int, output: str | None) -> in
 
     u = np.linspace(0.0, u_max, n)
     trip = _jacobi_grid(u, k)
-    stream, owned = _open_output(output)
-    try:
-        _write_rows(
-            stream,
-            "u,sn,cn,dn,res_sncn,res_dnsn",
-            _column_rows(u, trip.sn, trip.cn, trip.dn, *jacobi_identity_residuals(trip, k)),
-        )
-    finally:
-        if owned:
-            stream.close()
+    _write_rows(
+        output,
+        "u,sn,cn,dn,res_sncn,res_dnsn",
+        _column_rows(u, trip.sn, trip.cn, trip.dn, *jacobi_identity_residuals(trip, k)),
+    )
     return EXIT_OK
 
 

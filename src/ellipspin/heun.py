@@ -138,39 +138,31 @@ class LocalSeries:
     radius: float
 
     def value(self, z: complex) -> complex:
-        zeta = complex(z) - self.center
-        acc = 0.0j
-        for c in reversed(self.coefficients):
-            acc = acc * zeta + c
-        if self.exponent == 0.0:
-            return acc
-        return zeta ** self.exponent * acc
+        return self._sum(z, 0)
 
     def derivative(self, z: complex) -> complex:
-        zeta = complex(z) - self.center
-        rho = self.exponent
-        if rho == 0.0:
-            acc = 0.0j
-            for n in range(len(self.coefficients) - 1, 0, -1):
-                acc = acc * zeta + n * self.coefficients[n]
-            return acc
-        acc = 0.0j
-        for n in range(len(self.coefficients) - 1, -1, -1):
-            acc = acc * zeta + (n + rho) * self.coefficients[n]
-        return zeta ** (rho - 1.0) * acc
+        return self._sum(z, 1)
 
     def second_derivative(self, z: complex) -> complex:
+        return self._sum(z, 2)
+
+    def _sum(self, z: complex, order: int) -> complex:
+        """The ``order``-th derivative at z by one Horner loop.
+
+        Term n is weighted by the falling factorial (n + rho)(n + rho - 1)
+        ... of ``order`` factors.  With exponent 0 the first ``order``
+        terms vanish and are skipped, so the center itself evaluates.
+        """
         zeta = complex(z) - self.center
         rho = self.exponent
-        if rho == 0.0:
-            acc = 0.0j
-            for n in range(len(self.coefficients) - 1, 1, -1):
-                acc = acc * zeta + n * (n - 1.0) * self.coefficients[n]
-            return acc
+        first = order if rho == 0.0 else 0
         acc = 0.0j
-        for n in range(len(self.coefficients) - 1, -1, -1):
-            acc = acc * zeta + (n + rho) * (n + rho - 1.0) * self.coefficients[n]
-        return zeta ** (rho - 2.0) * acc
+        for n in range(len(self.coefficients) - 1, first - 1, -1):
+            weight = math.prod(n + rho - j for j in range(order))
+            acc = acc * zeta + weight * self.coefficients[n]
+        if rho == 0.0:
+            return acc
+        return zeta ** (rho - order) * acc
 
 
 @dataclass(frozen=True)
@@ -198,29 +190,32 @@ def _require_open_modulus(k: float) -> float:
     return k
 
 
-def z_of_tau(tau: float, k: float) -> complex:
-    """The circle-valued change-of-variable expression at real tau.
+def _z_and_rate(tau: float, k: float) -> tuple[complex, complex]:
+    """`z_of_tau` and `dz_dtau` from one `jacobi` call; k is already validated.
 
-    |z| = k^(-1/2) identically; the algebraic equation itself lives in
-    the square of this value (see `heun_coordinate`).
+    The derivative follows from the sn/cn/dn derivative identities.
     """
-    k = _require_open_modulus(k)
-    trip = jacobi(0.5 * tau, k)
-    s, c, d = trip.sn, trip.cn, trip.dn
-    num = complex((1.0 + k) * s, -c * d)
-    return num / (math.sqrt(k) * (1.0 + k * s * s))
-
-
-def dz_dtau(tau: float, k: float) -> complex:
-    """Derivative of `z_of_tau`, from the sn/cn/dn derivative identities."""
-    k = _require_open_modulus(k)
     trip = jacobi(0.5 * tau, k)
     s, c, d = trip.sn, trip.cn, trip.dn
     num = complex((1.0 + k) * s, -c * d)
     den = 1.0 + k * s * s
     dnum = complex(0.5 * (1.0 + k) * c * d, 0.5 * s * (d * d + k * k * c * c))
     dden = k * s * c * d
-    return (dnum * den - num * dden) / (math.sqrt(k) * den * den)
+    return num / (math.sqrt(k) * den), (dnum * den - num * dden) / (math.sqrt(k) * den * den)
+
+
+def z_of_tau(tau: float, k: float) -> complex:
+    """The circle-valued change-of-variable expression at real tau.
+
+    |z| = k^(-1/2) identically; the algebraic equation itself lives in
+    the square of this value (see `heun_coordinate`).
+    """
+    return _z_and_rate(tau, _require_open_modulus(k))[0]
+
+
+def dz_dtau(tau: float, k: float) -> complex:
+    """Derivative of `z_of_tau`."""
+    return _z_and_rate(tau, _require_open_modulus(k))[1]
 
 
 def heun_coordinate(tau: float, k: float) -> complex:
@@ -231,7 +226,8 @@ def heun_coordinate(tau: float, k: float) -> complex:
 
 def heun_coordinate_derivative(tau: float, k: float) -> complex:
     """d/dtau of `heun_coordinate`; satisfies (dZ/dtau)^2 = Z(1-Z)(1-k^2 Z)."""
-    return 2.0 * z_of_tau(tau, k) * dz_dtau(tau, k)
+    z, dz = _z_and_rate(tau, _require_open_modulus(k))
+    return 2.0 * z * dz
 
 
 def algebraic_coefficients(params: sd.SimParams) -> AlgebraicCoefficients:
@@ -350,36 +346,6 @@ def w_factor(z: complex, data: HeunData) -> complex:
             continue
         out *= cmath.exp(e * cmath.log(base))
     return out
-
-
-def w_factor_along_path(path: Sequence[complex], data: HeunData) -> list[complex]:
-    """Prefactor values along a path with branch continuity.
-
-    The branch is principal at the first point; afterwards each logarithm
-    is advanced by the principal log of the ratio of successive
-    displacements, which is the continuous branch as long as consecutive
-    points are closer to each other than to the singular point.
-    """
-    if len(path) == 0:
-        return []
-    exponents = (data.p, data.q, data.r)
-    anchors = (0.0 + 0j, 1.0 + 0j, complex(data.singular_a))
-    logs = []
-    for s in anchors:
-        base = path[0] - s
-        if base == 0:
-            raise DomainError("path starts at a singular point")
-        logs.append(cmath.log(base))
-    values = [cmath.exp(sum(e * l for e, l in zip(exponents, logs)))]
-    for i in range(1, len(path)):
-        for j, s in enumerate(anchors):
-            prev = path[i - 1] - s
-            cur = path[i] - s
-            if cur == 0:
-                raise DomainError("path passes through a singular point")
-            logs[j] += cmath.log(cur / prev)
-        values.append(cmath.exp(sum(e * l for e, l in zip(exponents, logs))))
-    return values
 
 
 def _local_polynomials(
@@ -631,22 +597,23 @@ def coordinate_path(tau: float, k: float, step_fraction: float = DEFAULT_STEP_FR
 
     Spacing adapts to the local speed of the coordinate and to the
     distance from the singular points so that consecutive waypoints are
-    comfortably inside each other's convergence disks.
+    comfortably inside each other's convergence disks.  Each waypoint
+    costs one `jacobi` call: its z and dz/dtau also set the next step.
     """
     k = _require_open_modulus(k)
-    if tau < 0.0:
-        raise DomainError(f"tau must be non-negative, got {tau!r}")
+    tau = sd.require_tau(tau)
     points = (0.0, 1.0, 1.0 / (k * k))
     t = 0.0
-    out = [heun_coordinate(0.0, k)]
+    z, dz = _z_and_rate(0.0, k)
+    out = [z * z]
     while t < tau:
-        zc = out[-1]
-        dist = _min_singular_distance(zc, points)
-        speed = abs(heun_coordinate_derivative(t, k))
+        dist = _min_singular_distance(out[-1], points)
+        speed = abs(2.0 * z * dz)
         dt = 0.4 * step_fraction * dist / max(speed, 1e-9)
         dt = min(max(dt, 1e-4), 0.2, tau - t)
         t += dt
-        out.append(heun_coordinate(t, k))
+        z, dz = _z_and_rate(t, k)
+        out.append(z * z)
     return out
 
 
@@ -662,19 +629,20 @@ def flip_probability_heun(
     A fundamental system of the canonical equation is continued from the
     coordinate of tau = 0 along the physical coordinate path to the
     coordinate of ``tau``; the probability is assembled from the
-    continued values, the branch-continuous prefactor, and the analytic
-    coordinate velocity at the start.  Independent of the ODE integrator
-    end to end, which is what makes it a meaningful cross-check.
+    continued values, the prefactor's modulus at both ends, and the
+    analytic coordinate velocity at the start.  Independent of the ODE
+    integrator end to end, which is what makes it a meaningful cross-check.
     """
     data = heun_parameters(params, selection)
     k = params.k
     path = coordinate_path(tau, k, step_fraction)
-    w_values = w_factor_along_path(path, data)
     cont = continue_along_path(data, path, n_terms=n_terms, step_fraction=step_fraction)
 
     # v1(z0) = 1, v2(z0) = 0, so the solution-difference numerator reduces
-    # to -v2 at the endpoint, and the start Wronskian is exactly 1.
-    numerator = w_values[-1] * (-cont.v2)
-    denominator = w_values[0] * heun_coordinate_derivative(0.0, k)
+    # to -v2 at the endpoint, and the start Wronskian is exactly 1.  The
+    # exponents p, q, r are real, so |w| = prod |Z - s|^e has no branch and
+    # the principal-branch prefactor gives it at each end.
+    numerator = abs(w_factor(path[-1], data)) * abs(cont.v2)
+    denominator = abs(w_factor(path[0], data)) * abs(heun_coordinate_derivative(0.0, k))
     a = params.h_over_omega
-    return a * a * abs(numerator) ** 2 / abs(denominator) ** 2
+    return a * a * numerator ** 2 / denominator ** 2

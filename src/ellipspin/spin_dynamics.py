@@ -257,6 +257,19 @@ def _bind_rotating(params: SimParams) -> _dopri.RHS:
     return rhs
 
 
+def require_tau(tau: float, from_zero: bool = True) -> float:
+    """``tau`` as a float, rejected with DomainError unless finite.
+
+    ``from_zero`` also requires tau >= 0, for functions that integrate
+    or continue from time 0.
+    """
+    tau = float(tau)
+    if not math.isfinite(tau) or (from_zero and tau < 0.0):
+        bound = "finite and non-negative" if from_zero else "finite"
+        raise DomainError(f"tau must be {bound}, got {tau!r}")
+    return tau
+
+
 def _validate_grid(tau_grid: Sequence[float]) -> np.ndarray:
     taus = np.asarray(tau_grid, dtype=float)
     if taus.ndim != 1 or len(taus) == 0:
@@ -265,6 +278,7 @@ def _validate_grid(tau_grid: Sequence[float]) -> np.ndarray:
         raise DomainError(f"tau grid must start at 0, got {taus[0]!r}")
     if len(taus) > 1 and not np.all(np.diff(taus) > 0.0):
         raise DomainError("tau grid must be strictly increasing")
+    require_tau(taus[-1])
     return taus
 
 
@@ -468,8 +482,7 @@ def propagator(tau: float, params: SimParams, tol: float = DEFAULT_TOL) -> Propa
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-    if tau < 0.0:
-        raise DomainError(f"tau must be non-negative, got {tau!r}")
+    tau = require_tau(tau)
     local_tol = tol / max(1.0, tau * params.rabi_over_omega)
     col = _rotating_states(params, (1.0 + 0j, 0j), np.array([0.0, tau]), local_tol)
     a, b = complex(col[-1, 0]), complex(col[-1, 1])
@@ -482,6 +495,7 @@ def rabi_probability(tau: float, params: SimParams) -> float:
     """Closed-form flip probability for the circular drive (k = 0)."""
     if params.k != 0.0:
         raise DomainError(f"closed Rabi form requires k = 0, got k = {params.k!r}")
+    tau = require_tau(tau, from_zero=False)
     a = params.h_over_omega
     r = params.rabi_over_omega
     if r == 0.0:
@@ -515,6 +529,7 @@ def probability_from_fundamental_pair(
     spin-up Cauchy problem follows from them and their initial Wronskian
     alone, which makes this an independent cross-check of `evolve`.
     """
+    tau = require_tau(tau)
     rhs = _bind_rotating(params)
     fa0, fb0 = ic_a.psi2, ic_b.psi2
     da0 = rotating_rhs(0.0, params, ic_a.psi1, ic_a.psi2)[1]

@@ -303,11 +303,13 @@ class TestSweep:
         assert np.max(np.abs(table["p_flip"] - expected)) < 1e-8
 
     def test_run_cap(self, tmp_path):
+        # The row budget is the only cap on a sweep; `sweep_cap` is not a key.
         cfg = tmp_path / "cap.cfg"
         cfg.write_text(SWEEP_CONFIG + "sweep_cap = 2\n")
         proc = run_cli("sweep", str(cfg))
         assert proc.returncode == 2
-        assert b"cap" in proc.stderr
+        assert proc.stderr.startswith(b"config error: unknown key 'sweep_cap'")
+        assert proc.stderr.count(b"\n") == 1
 
 
     def test_row_budget(self, tmp_path):

@@ -103,6 +103,41 @@ class TestCoordinate:
         assert abs(dz * dz - z * (1.0 - z) * (1.0 - k * k * z)) < 1e-10
 
 
+def _reference_path(tau, k, step_fraction=heun.DEFAULT_STEP_FRACTION):
+    """`coordinate_path` through the public coordinate functions, call by call."""
+    points = (0.0, 1.0, 1.0 / (k * k))
+    t = 0.0
+    out = [heun.heun_coordinate(0.0, k)]
+    while t < tau:
+        zc = out[-1]
+        dist = min(abs(zc - s) for s in points)
+        speed = abs(heun.heun_coordinate_derivative(t, k))
+        dt = 0.4 * step_fraction * dist / max(speed, 1e-9)
+        dt = min(max(dt, 1e-4), 0.2, tau - t)
+        t += dt
+        out.append(heun.heun_coordinate(t, k))
+    return out
+
+
+class TestCoordinatePath:
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 30.0])
+    @pytest.mark.parametrize("k", [0.05, 0.5, 0.95])
+    def test_bit_identical_to_reference_loop(self, k, tau):
+        assert heun.coordinate_path(tau, k) == _reference_path(tau, k)
+
+    def test_one_jacobi_call_per_waypoint(self, monkeypatch):
+        calls = []
+        real = heun.jacobi
+
+        def counting(u, k):
+            calls.append(u)
+            return real(u, k)
+
+        monkeypatch.setattr(heun, "jacobi", counting)
+        path = heun.coordinate_path(30.0, 0.7)
+        assert len(calls) == len(path)
+
+
 class TestAlgebraicCoefficients:
     def test_first_derivative_coefficients(self):
         p = SimParams.from_detuning(0.3, 0.17, 0.6)
@@ -212,26 +247,6 @@ class TestPrefactor:
         with pytest.raises(DomainError):
             heun.w_factor(0.0, data)
 
-    def test_branch_continuity_along_paths(self):
-        rng = np.random.default_rng(31)
-        p = SimParams.from_detuning(0.3, 0.2, 0.5)
-        data = heun.heun_parameters(p, "+-+")
-        for _ in range(10):
-            center = complex(rng.uniform(-3, 3), rng.uniform(0.3, 3))
-            radius = float(rng.uniform(0.1, 0.5))
-            path = [
-                center + radius * cmath.exp(1j * t)
-                for t in np.linspace(0.0, 2 * math.pi, 60)
-            ]
-            if min(abs(z - s) for z in path for s in (0, 1, data.singular_a)) < 0.05:
-                continue
-            values = heun.w_factor_along_path(path, data)
-            steps = np.abs(np.diff(values)) / np.abs(values[:-1])
-            assert np.max(steps) < 0.5  # no branch jumps, only smooth drift
-            # moduli always match the principal-branch evaluation
-            for z, w in zip(path, values):
-                assert abs(abs(w) - abs(heun.w_factor(z, data))) < 1e-10 * abs(w)
-
 
 class TestLocalSeries:
     @pytest.fixture()
@@ -264,6 +279,16 @@ class TestLocalSeries:
         assert s.radius == pytest.approx(data.singular_a - 1.0)
         s = heun.local_series(data, 0.5 + 0.5j, 0, n_terms=12)
         assert s.radius == pytest.approx(abs(0.5 + 0.5j))
+
+    def test_center_with_exponent_zero(self, data):
+        # Only the constant, linear and quadratic terms survive at the center.
+        for center in (0.0, 1.0, data.singular_a, -0.7 - 0.9j):
+            series = heun.local_series(data, center, 0, n_terms=16)
+            c = series.coefficients
+            assert series.exponent == 0.0
+            assert series.value(series.center) == c[0]
+            assert series.derivative(series.center) == c[1]
+            assert series.second_derivative(series.center) == 2.0 * c[2]
 
     def test_rejects_too_few_terms(self, data):
         with pytest.raises(DomainError):
@@ -339,3 +364,21 @@ class TestFlipProbability:
     def test_requires_open_modulus(self):
         with pytest.raises(DomainError):
             heun.flip_probability_heun(1.0, SimParams.from_detuning(0.2, 0.1, 0.0))
+
+    # Long paths wind the coordinate round the singular points many times,
+    # so the principal logs of Z - s cross their cuts again and again; the
+    # prefactor enters only by its modulus, which no cut changes.
+    @pytest.mark.parametrize("tau", [30.0, 60.0])
+    @pytest.mark.parametrize("k", [0.2, 0.7, 0.85])
+    def test_resonance_at_long_horizon(self, k, tau):
+        p = SimParams.from_detuning(0.2, 0.0, k)
+        for sel in ("+++", "-+-", "---"):
+            got = heun.flip_probability_heun(tau, p, selection=sel)
+            assert abs(got - math.sin(0.2 * tau) ** 2) < 1e-12
+
+    @pytest.mark.parametrize("k", [0.3, 0.85])
+    def test_detuned_at_long_horizon(self, k):
+        p = SimParams.from_detuning(0.2, 0.1, k)
+        direct = float(evolve(spin_up(), p, [0.0, 40.0]).p_flip[-1])
+        for sel in ("+++", "+-+", "---"):
+            assert abs(heun.flip_probability_heun(40.0, p, selection=sel) - direct) < 1e-6

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ellipspin.heun as heun
 import ellipspin.spin_dynamics as sd
 from ellipspin import _dopri
 from ellipspin import (
@@ -22,6 +23,7 @@ from ellipspin import (
     gauge_factor,
     hamiltonian,
     jacobi,
+    lame_residual,
     map_frame,
     propagator,
     quarter_period,
@@ -577,6 +579,40 @@ class TestFundamentalSystem:
         s = SpinState(math.sqrt(0.5) + 0j, math.sqrt(0.5) + 0j)
         with pytest.raises(DomainError):
             sd.probability_from_fundamental_pair(1.0, p, s, s)
+
+
+_DETUNED = SimParams.from_detuning(0.3, 0.2, 0.5)
+_SPIN_DOWN = SpinState(0.0j, 1.0 + 0j)
+_TAU_ENTRIES = {
+    "evolve": lambda tau: evolve(spin_up(), _DETUNED, [0.0, tau]),
+    "evolve_lab_frame": lambda tau: sd.evolve_lab_frame(spin_up(), _DETUNED, [0.0, tau]),
+    "propagator": lambda tau: propagator(tau, _DETUNED),
+    "lame_residual": lambda tau: lame_residual(_DETUNED, tau),
+    "probability_from_fundamental_pair": lambda tau: sd.probability_from_fundamental_pair(
+        tau, _DETUNED, spin_up(), _SPIN_DOWN
+    ),
+    "flip_probability_heun": lambda tau: heun.flip_probability_heun(tau, _DETUNED),
+    "coordinate_path": lambda tau: heun.coordinate_path(tau, _DETUNED.k),
+}
+
+
+class TestTauDomain:
+    # Before the shared check, nan and inf ended in IndexError, a silent
+    # 0.0, a ValueError or a loop that never returned.
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("entry", sorted(_TAU_ENTRIES))
+    def test_integrating_entries_reject_non_finite_or_negative(self, entry, tau):
+        with pytest.raises(DomainError):
+            _TAU_ENTRIES[entry](tau)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_rabi_probability_rejects_non_finite(self, tau):
+        with pytest.raises(DomainError, match="tau must be finite"):
+            rabi_probability(tau, SimParams.from_detuning(0.3, 0.4, 0.0))
+
+    def test_rabi_probability_is_even_in_tau(self):
+        p = SimParams.from_detuning(0.3, 0.4, 0.0)
+        assert rabi_probability(-1.3, p) == rabi_probability(1.3, p)
 
 
 class TestIntegratorFailure:
