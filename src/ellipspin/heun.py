@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import spin_dynamics as sd
-from .elliptic import jacobi
+from .elliptic import jacobi, quarter_period
 from .errors import DomainError, LogarithmicCaseError, PathError, StepError
 
 #: The eight exponent selections: sign of (p, q, r) in the prefactor.
@@ -592,19 +592,30 @@ def continue_along_path(
     return Continuation(v1=v1, dv1=dv1, v2=v2, dv2=dv2, wronskian_drift=drift)
 
 
-def coordinate_path(tau: float, k: float, step_fraction: float = DEFAULT_STEP_FRACTION) -> list[complex]:
-    """Waypoints of the squared coordinate from time 0 to ``tau``.
+def coordinate_path(
+    tau: float,
+    k: float,
+    step_fraction: float = DEFAULT_STEP_FRACTION,
+    *,
+    start: float = 0.0,
+) -> list[complex]:
+    """Waypoints of the squared coordinate from time ``start`` to ``tau``.
 
     Spacing adapts to the local speed of the coordinate and to the
     distance from the singular points so that consecutive waypoints are
     comfortably inside each other's convergence disks.  Each waypoint
     costs one `jacobi` call: its z and dz/dtau also set the next step.
+    ``start`` must be finite with 0 <= start <= tau; the default path
+    begins at time 0.
     """
     k = _require_open_modulus(k)
     tau = sd.require_tau(tau)
+    start = float(start)
+    if not (math.isfinite(start) and 0.0 <= start <= tau):
+        raise DomainError(f"start must be finite with 0 <= start <= tau = {tau!r}, got {start!r}")
     points = (0.0, 1.0, 1.0 / (k * k))
-    t = 0.0
-    z, dz = _z_and_rate(0.0, k)
+    t = start
+    z, dz = _z_and_rate(start, k)
     out = [z * z]
     while t < tau:
         dist = _min_singular_distance(out[-1], points)
@@ -615,6 +626,39 @@ def coordinate_path(tau: float, k: float, step_fraction: float = DEFAULT_STEP_FR
         z, dz = _z_and_rate(t, k)
         out.append(z * z)
     return out
+
+
+_Matrix2 = tuple[complex, complex, complex, complex]
+
+
+def _fundamental_matrix(cont: Continuation) -> _Matrix2:
+    """[[v1, v2], [v1', v2']] of a continuation, row-major."""
+    return (cont.v1, cont.v2, cont.dv1, cont.dv2)
+
+
+def _mat_mul(x: _Matrix2, y: _Matrix2) -> _Matrix2:
+    """Product of two row-major 2 x 2 complex matrices."""
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _times_power(f: _Matrix2, m: _Matrix2, n: int) -> _Matrix2:
+    """f m^n for row-major 2 x 2 matrices, by binary powering.
+
+    One squaring per bit of ``n``; every factor taken on the right is a
+    power of m, so the factors commute and their order does not matter.
+    """
+    while n:
+        if n & 1:
+            f = _mat_mul(f, m)
+        n >>= 1
+        if n:
+            m = _mat_mul(m, m)
+    return f
 
 
 def flip_probability_heun(
@@ -632,17 +676,61 @@ def flip_probability_heun(
     continued values, the prefactor's modulus at both ends, and the
     analytic coordinate velocity at the start.  Independent of the ODE
     integrator end to end, which is what makes it a meaningful cross-check.
+
+    The coordinate closes after T = 4K(k), and the equation's coefficients
+    are rational in it, so with tau = n T + r the system is continued at
+    most once round the loop: F along the path to r, G along the rest of
+    the loop back to the start, and the data at tau are F (G F)^n.  Below
+    one loop (n = 0) this is the direct continuation.  The cost follows
+    one loop, not the horizon; errors compose about n-fold.  A composed
+    determinant that leaves its closed form by more than 1e-8, or a
+    probability above 1 by more than that, raises StepError.
     """
+    tau = sd.require_tau(tau)
     data = heun_parameters(params, selection)
     k = params.k
-    path = coordinate_path(tau, k, step_fraction)
+    loop_time = 4.0 * quarter_period(k)
+    n, r = divmod(tau, loop_time)
+    n = int(n)
+    path = coordinate_path(r, k, step_fraction)
     cont = continue_along_path(data, path, n_terms=n_terms, step_fraction=step_fraction)
+    v2 = cont.v2
+    if n > 0:
+        rest = coordinate_path(loop_time, k, step_fraction, start=r)
+        rest[-1] = path[0]
+        f = _fundamental_matrix(cont)
+        g = _fundamental_matrix(
+            continue_along_path(data, rest, n_terms=n_terms, step_fraction=step_fraction)
+        )
+        total = _times_power(f, _mat_mul(g, f), n)
+        # Liouville: |det| at the end of the path is the Wronskian's
+        # closed-form modulus, which has no branch (the exponents are real).
+        expected = math.prod(
+            (abs(path[0] - s) / abs(path[-1] - s)) ** e
+            for s, e in zip(data.singular_points, (data.gamma, data.delta, data.epsilon))
+        )
+        try:
+            drift = abs(abs(total[0] * total[3] - total[1] * total[2]) / expected - 1.0)
+        except OverflowError:
+            drift = math.inf
+        if not drift <= 1e-8:
+            raise StepError(
+                f"determinant of {n:.3g} composed loops drifted by {drift:.3g}; "
+                f"composition unreliable at tau = {tau!r}"
+            )
+        v2 = total[1]
 
     # v1(z0) = 1, v2(z0) = 0, so the solution-difference numerator reduces
     # to -v2 at the endpoint, and the start Wronskian is exactly 1.  The
     # exponents p, q, r are real, so |w| = prod |Z - s|^e has no branch and
     # the principal-branch prefactor gives it at each end.
-    numerator = abs(w_factor(path[-1], data)) * abs(cont.v2)
+    numerator = abs(w_factor(path[-1], data)) * abs(v2)
     denominator = abs(w_factor(path[0], data)) * abs(heun_coordinate_derivative(0.0, k))
     a = params.h_over_omega
-    return a * a * numerator ** 2 / denominator ** 2
+    try:
+        prob = a * a * numerator ** 2 / denominator ** 2
+    except OverflowError:
+        prob = math.inf
+    if not prob <= 1.0 + 1e-8:
+        raise StepError(f"flip probability {prob!r} exceeds 1 at tau = {tau!r}")
+    return prob

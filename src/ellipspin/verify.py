@@ -15,7 +15,7 @@ import numpy as np
 
 from . import heun, observables, spin_dynamics as sd, wigner
 from .elliptic import jacobi, jacobi_identity_residuals, quarter_period
-from .errors import DomainError
+from .errors import DomainError, StepError
 
 _SEED = 20240420
 
@@ -46,6 +46,18 @@ def _random_params(rng: np.random.Generator, n: int, k_max: float = 0.95) -> lis
             )
         )
     return out
+
+
+def _heun_probability(tau: float, p: sd.SimParams, selection: str) -> float:
+    """`flip_probability_heun`, or inf where its own guards reject the result.
+
+    A loop composition the guards reject fails the check that asked for
+    it; it is not a runtime failure of the suite.
+    """
+    try:
+        return heun.flip_probability_heun(tau, p, selection)
+    except StepError:
+        return math.inf
 
 
 def _trajectories(params_list, tau_max, n_samples, tol):
@@ -269,7 +281,7 @@ def heun_suite(tol: float = sd.DEFAULT_TOL) -> list[CheckResult]:
     for h, delta, k, tau in comparison_points:
         p = sd.SimParams.from_detuning(h, delta, k)
         p_ode = float(sd.evolve(sd.SPIN_UP, p, [0.0, tau], tol=tol).p_flip[-1])
-        p_series = heun.flip_probability_heun(tau, p)
+        p_series = _heun_probability(tau, p, heun.DEFAULT_SELECTION)
         worst = max(worst, abs(p_ode - p_series))
     results.append(CheckResult("flip_probability_reduction_vs_ode", worst, 1e-6))
 
@@ -279,6 +291,29 @@ def heun_suite(tol: float = sd.DEFAULT_TOL) -> list[CheckResult]:
     results.append(
         CheckResult("selection_independence", max(values) - min(values), 1e-8)
     )
+
+    # `flip_probability_heun` continues the system once round the loop
+    # T = 4K of the coordinate and composes powers of it; the whole path,
+    # continued directly and never composed, must give the same
+    # probability on both sides of a loop boundary and several loops on.
+    # Own seed, so the draws of the other checks stay as they were.
+    rng_lc = np.random.default_rng(_SEED + 4)
+    worst = 0.0
+    for p in _random_params(rng_lc, 3, k_max=0.9):
+        sel = heun.SELECTIONS[int(rng_lc.integers(len(heun.SELECTIONS)))]
+        data = heun.heun_parameters(p, sel)
+        start_scale = abs(heun.w_factor(heun.heun_coordinate(0.0, p.k), data)) * abs(
+            heun.heun_coordinate_derivative(0.0, p.k)
+        )
+        loop_time = 4.0 * quarter_period(p.k)
+        for factor in (0.999, 1.0, 1.001, 3.5):
+            tau = factor * loop_time
+            path = heun.coordinate_path(tau, p.k)
+            v2 = heun.continue_along_path(data, path).v2
+            end_scale = abs(heun.w_factor(path[-1], data)) * abs(v2)
+            direct = (p.h_over_omega * end_scale / start_scale) ** 2
+            worst = max(worst, abs(_heun_probability(tau, p, sel) - direct))
+    results.append(CheckResult("loop_composition", worst, 1e-10))
     return results
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import re
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ellipspin.heun as heun
 import ellipspin.spin_dynamics as sd
 from ellipspin import cli
 from ellipspin.elliptic import jacobi, jacobi_identity_residuals
@@ -172,6 +174,35 @@ class TestSimulate:
         assert b"heun_check" in proc.stderr
         diff = float(proc.stderr.decode().split("diff=")[1].split()[0])
         assert diff < 1e-6
+
+    @staticmethod
+    def _long_heun_check_config(tmp_path, tau_max):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(
+            RESONANCE_CONFIG.replace("outputs = trajectory", "outputs = trajectory,heun_check")
+            .replace("k = 0.7", "k = 0.6")
+            .replace("delta_over_omega = 0.0", "delta_over_omega = 0.05")
+            .replace("tau_max = 10.0", f"tau_max = {tau_max}")
+            .replace("n_samples = 201", "n_samples = 11")
+        )
+        return cfg
+
+    def test_heun_check_far_beyond_one_loop(self, tmp_path):
+        # About 285 loops of the coordinate: the reduction composes them.
+        proc = run_cli("simulate", str(self._long_heun_check_config(tmp_path, "2000.0")))
+        assert proc.returncode == 0, proc.stderr
+        (line,) = proc.stderr.decode().splitlines()
+        fields = re.fullmatch(r"heun_check tau=(\S+): ode=(\S+) series=(\S+) diff=(\S+)", line)
+        assert fields is not None, line
+        assert float(fields[1]) == 2000.0
+        assert float(fields[4]) <= 1e-6
+
+    def test_heun_check_at_absurd_horizon_fails_cleanly(self, tmp_path):
+        proc = run_cli("simulate", str(self._long_heun_check_config(tmp_path, "1e18")))
+        assert proc.returncode == 3
+        err = proc.stderr.decode()
+        assert err.startswith("runtime failure in reduction cross-check")
+        assert err.count("\n") == 1
 
     def test_wigner_output(self, tmp_path):
         cfg = tmp_path / "w.cfg"
@@ -349,6 +380,21 @@ class TestVerify:
         proc = run_cli("verify", "invariants", "--tol", "0.1")
         assert proc.returncode == 1
         assert b"period_composition" in proc.stderr
+
+    def test_loop_composition_is_checked_against_a_direct_path(self, monkeypatch):
+        proc = run_cli("verify", "heun")
+        assert proc.returncode == 0, proc.stderr
+        assert b"PASS  loop_composition" in proc.stdout
+        # Loops applied in the wrong order, (G F)^n F instead of F (G F)^n.
+        real = heun._times_power
+
+        def wrong_order(f, m, n):
+            return heun._mat_mul(real((1.0, 0.0, 0.0, 1.0), m, n), f)
+
+        monkeypatch.setattr(heun, "_times_power", wrong_order)
+        rc, err = run_in_process("verify", "heun")
+        assert rc == 1
+        assert "loop_composition" in err
 
     def test_non_unitary_propagator_is_a_failed_check(self):
         proc = run_cli("verify", "wigner", "--tol", "0.1")

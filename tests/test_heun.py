@@ -21,8 +21,10 @@ from ellipspin import (
     PathError,
     SimParams,
     SpinState,
+    StepError,
     evolve,
 )
+from ellipspin.elliptic import quarter_period
 
 params_strategy = st.builds(
     SimParams.from_detuning,
@@ -103,11 +105,11 @@ class TestCoordinate:
         assert abs(dz * dz - z * (1.0 - z) * (1.0 - k * k * z)) < 1e-10
 
 
-def _reference_path(tau, k, step_fraction=heun.DEFAULT_STEP_FRACTION):
+def _reference_path(tau, k, step_fraction=heun.DEFAULT_STEP_FRACTION, start=0.0):
     """`coordinate_path` through the public coordinate functions, call by call."""
     points = (0.0, 1.0, 1.0 / (k * k))
-    t = 0.0
-    out = [heun.heun_coordinate(0.0, k)]
+    t = start
+    out = [heun.heun_coordinate(start, k)]
     while t < tau:
         zc = out[-1]
         dist = min(abs(zc - s) for s in points)
@@ -124,6 +126,13 @@ class TestCoordinatePath:
     @pytest.mark.parametrize("k", [0.05, 0.5, 0.95])
     def test_bit_identical_to_reference_loop(self, k, tau):
         assert heun.coordinate_path(tau, k) == _reference_path(tau, k)
+        start = 0.4 * tau
+        assert heun.coordinate_path(tau, k, start=start) == _reference_path(tau, k, start=start)
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -0.5, 2.5])
+    def test_start_outside_zero_to_tau_rejected(self, start):
+        with pytest.raises(DomainError):
+            heun.coordinate_path(2.0, 0.5, start=start)
 
     def test_one_jacobi_call_per_waypoint(self, monkeypatch):
         calls = []
@@ -382,3 +391,83 @@ class TestFlipProbability:
         direct = float(evolve(spin_up(), p, [0.0, 40.0]).p_flip[-1])
         for sel in ("+++", "+-+", "---"):
             assert abs(heun.flip_probability_heun(40.0, p, selection=sel) - direct) < 1e-6
+
+
+def _direct_probability(tau, params, selection):
+    """The flip probability continued along the whole path, never composed.
+
+    The assembly `flip_probability_heun` used before it composed loops,
+    kept as the reference.
+    """
+    data = heun.heun_parameters(params, selection)
+    path = heun.coordinate_path(tau, params.k)
+    cont = heun.continue_along_path(data, path)
+    numerator = abs(heun.w_factor(path[-1], data)) * abs(cont.v2)
+    denominator = abs(heun.w_factor(path[0], data)) * abs(
+        heun.heun_coordinate_derivative(0.0, params.k)
+    )
+    a = params.h_over_omega
+    return a * a * numerator ** 2 / denominator ** 2
+
+
+class TestLoopComposition:
+    """tau = n T + r with T = 4K: one loop continued, then powers of it."""
+
+    @pytest.mark.parametrize("periods", [1.0, 2.0, 2.5, 5.0])
+    @pytest.mark.parametrize("k", [0.05, 0.5, 0.95])
+    def test_matches_direct_continuation(self, k, periods):
+        p = SimParams.from_detuning(0.3, 0.12, k)
+        tau = periods * 4.0 * quarter_period(k)
+        taus = [tau]
+        if periods != 2.5:
+            taus += [math.nextafter(tau, 0.0), math.nextafter(tau, math.inf)]
+        for t in taus:
+            for sel in heun.SELECTIONS:
+                got = heun.flip_probability_heun(t, p, selection=sel)
+                assert abs(got - _direct_probability(t, p, sel)) < 1e-12
+
+    def test_below_one_period_is_bit_identical(self):
+        for h, delta, k in ((0.25, 0.1, 0.3), (0.7, -0.3, 0.8)):
+            p = SimParams.from_detuning(h, delta, k)
+            loop_time = 4.0 * quarter_period(k)
+            for tau in (0.0, 0.3 * loop_time, math.nextafter(loop_time, 0.0)):
+                for sel in heun.SELECTIONS:
+                    assert heun.flip_probability_heun(tau, p, selection=sel) == _direct_probability(
+                        tau, p, sel
+                    )
+
+    def test_cost_does_not_grow_with_the_horizon(self, monkeypatch):
+        calls = []
+        real = heun._taylor_coefficients
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(heun, "_taylor_coefficients", counting)
+        p = SimParams.from_detuning(0.25, 0.1, 0.7)
+        loop_time = 4.0 * quarter_period(0.7)
+        heun.flip_probability_heun(3000.0, p)
+        far = len(calls)
+        calls.clear()
+        heun.flip_probability_heun(math.fmod(3000.0, loop_time) + loop_time, p)
+        assert far <= len(calls)
+
+    # About 1,200 loops at tau = 1e4.  Powers repeat one loop's rounding
+    # error coherently, so it grows n-fold, not like a random walk as
+    # along the direct path: the default selection stays within 1e-12
+    # here, "+++" reaches 2.2e-11 at k = 0.7 (3e-13 continued directly).
+    @pytest.mark.parametrize("k", [0.2, 0.7, 0.85])
+    def test_resonance_far_beyond_one_period(self, k):
+        p = SimParams.from_detuning(0.2, 0.0, k)
+        expected = math.sin(0.2 * 1e4) ** 2
+        assert abs(heun.flip_probability_heun(1e4, p) - expected) < 1e-11
+        for sel in heun.SELECTIONS:
+            assert abs(heun.flip_probability_heun(1e4, p, selection=sel) - expected) < 1e-10
+
+    @pytest.mark.parametrize("tau", [1e18, 1e300])
+    def test_extreme_horizon_raises_step_error(self, tau):
+        p = SimParams.from_detuning(0.3, 0.15, 0.7)
+        for sel in heun.SELECTIONS:
+            with pytest.raises(StepError):
+                heun.flip_probability_heun(tau, p, selection=sel)
