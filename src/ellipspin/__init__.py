@@ -41,7 +41,6 @@ from .heun import (
     indicial_exponents,
     local_series,
     w_factor,
-    z_of_tau,
 )
 from .observables import (
     InvariantResiduals,
@@ -53,8 +52,6 @@ from .observables import (
     resonance_polarization,
 )
 from .spin_dynamics import (
-    Frame,
-    FrameMap,
     Propagator,
     SimParams,
     SpinState,
@@ -62,8 +59,6 @@ from .spin_dynamics import (
     derive_parameters,
     evolve,
     gauge_factor,
-    hamiltonian,
-    map_frame,
     propagator,
     rabi_probability,
     resonance_solution,
@@ -80,8 +75,6 @@ __all__ = [
     "EllipticTriple",
     "EulerAngles",
     "ExponentSet",
-    "Frame",
-    "FrameMap",
     "HeunData",
     "IntegrationError",
     "InvariantResiduals",
@@ -107,7 +100,6 @@ __all__ = [
     "flip_probability_heun",
     "four_vector_residuals",
     "gauge_factor",
-    "hamiltonian",
     "heun_coordinate",
     "heun_coordinate_derivative",
     "heun_parameters",
@@ -116,7 +108,6 @@ __all__ = [
     "jacobi_identity_residuals",
     "lame_residual",
     "local_series",
-    "map_frame",
     "polarization",
     "propagator",
     "quarter_period",
@@ -126,5 +117,4 @@ __all__ = [
     "transition_probability_j",
     "w_factor",
     "wigner_d",
-    "z_of_tau",
 ]

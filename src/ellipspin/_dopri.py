@@ -190,11 +190,3 @@ def integrate(
 
     return out
 
-
-def integrate_to(
-    rhs: RHS, y0: tuple[complex, complex], tau: float, tol: float
-) -> tuple[complex, complex]:
-    """State at a single end time ``tau >= 0`` starting from tau = 0."""
-    if tau == 0.0:
-        return (complex(y0[0]), complex(y0[1]))
-    return integrate(rhs, y0, (0.0, float(tau)), tol)[-1]

@@ -215,6 +215,10 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
         params = sd.SimParams.from_detuning(h_grid[0], delta_grid[0], k_grid[0])
     except DomainError as exc:
         raise ConfigError(str(exc))
+    # Checked before any output is written, after the modulus itself is
+    # known to be valid; `sweep` ignores `outputs`.
+    if "heun_check" in outputs and not allow_grids and not 0.0 < params.k < 1.0:
+        raise ConfigError("heun_check requires 0 < k < 1", line, col)
     return Scenario(
         params=params,
         tau_max=tau_max,
@@ -301,9 +305,6 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
 
     # Extra requested outputs go to stderr so the CSV bytes stay canonical.
     if "heun_check" in scenario.outputs:
-        if not 0.0 < scenario.params.k < 1.0:
-            print("config error: heun_check requires 0 < k < 1", file=sys.stderr)
-            return EXIT_CONFIG
         try:
             p_series = heun.flip_probability_heun(scenario.tau_max, scenario.params)
         except EllipspinError as exc:

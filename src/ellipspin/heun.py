@@ -17,7 +17,8 @@ fundamental system along complex paths, and finally an independent
 recomputation of the spin-flip probability that the ODE simulator can be
 checked against.
 
-Coordinate conventions.  `z_of_tau` evaluates the explicit expression
+Coordinate conventions.  The change of variable starts from the explicit
+expression
 
     z(tau) = ((1+k) sn(tau/2) - i cn(tau/2) dn(tau/2))
              / (sqrt(k) (1 + k sn(tau/2)^2)),
@@ -25,8 +26,8 @@ Coordinate conventions.  `z_of_tau` evaluates the explicit expression
 which traces the circle |z| = k^(-1/2) as tau runs over the reals.  The
 algebraic equation lives in the squared coordinate Z = z^2 (the squaring
 folds the would-be singular points at sn = +-1 and sn = +-1/k onto
-{1, 1/k^2}); `heun_coordinate` returns Z directly and every series or
-continuation routine works in Z.
+{1, 1/k^2}), which traces the circle |Z| = 1/k; `heun_coordinate` returns
+Z and every series or continuation routine works in Z.
 """
 
 from __future__ import annotations
@@ -151,10 +152,17 @@ class LocalSeries:
 
         Term n is weighted by the falling factorial (n + rho)(n + rho - 1)
         ... of ``order`` factors.  With exponent 0 the first ``order``
-        terms vanish and are skipped, so the center itself evaluates.
+        terms vanish and are skipped, so the center itself evaluates.  A
+        singular center with exponent - order < 0 has no finite value and
+        raises DomainError.
         """
         zeta = complex(z) - self.center
         rho = self.exponent
+        if zeta == 0 and rho != 0.0 and rho < order:
+            raise DomainError(
+                f"order-{order} derivative with exponent {rho!r} is infinite "
+                f"at its center {self.center!r}"
+            )
         first = order if rho == 0.0 else 0
         acc = 0.0j
         for n in range(len(self.coefficients) - 1, first - 1, -1):
@@ -191,9 +199,10 @@ def _require_open_modulus(k: float) -> float:
 
 
 def _z_and_rate(tau: float, k: float) -> tuple[complex, complex]:
-    """`z_of_tau` and `dz_dtau` from one `jacobi` call; k is already validated.
+    """z(tau) of the module docstring and dz/dtau from one `jacobi` call.
 
-    The derivative follows from the sn/cn/dn derivative identities.
+    k is already validated.  The derivative follows from the sn/cn/dn
+    derivative identities.
     """
     trip = jacobi(0.5 * tau, k)
     s, c, d = trip.sn, trip.cn, trip.dn
@@ -204,23 +213,9 @@ def _z_and_rate(tau: float, k: float) -> tuple[complex, complex]:
     return num / (math.sqrt(k) * den), (dnum * den - num * dden) / (math.sqrt(k) * den * den)
 
 
-def z_of_tau(tau: float, k: float) -> complex:
-    """The circle-valued change-of-variable expression at real tau.
-
-    |z| = k^(-1/2) identically; the algebraic equation itself lives in
-    the square of this value (see `heun_coordinate`).
-    """
-    return _z_and_rate(tau, _require_open_modulus(k))[0]
-
-
-def dz_dtau(tau: float, k: float) -> complex:
-    """Derivative of `z_of_tau`."""
-    return _z_and_rate(tau, _require_open_modulus(k))[1]
-
-
 def heun_coordinate(tau: float, k: float) -> complex:
-    """Independent coordinate of the algebraic equation: z_of_tau squared."""
-    z = z_of_tau(tau, k)
+    """Independent coordinate Z = z^2 of the algebraic equation at real tau."""
+    z = _z_and_rate(tau, _require_open_modulus(k))[0]
     return z * z
 
 
@@ -485,8 +480,14 @@ def local_series(
 
 
 def equation_residual(data: HeunData, series: LocalSeries, z: complex) -> float:
-    """|v'' + p(z) v' + q(z) v| of the canonical equation for a series value."""
+    """|v'' + p(z) v' + q(z) v| of the canonical equation for a series value.
+
+    Raises DomainError at a singular point, where the coefficients are
+    infinite.
+    """
     z = complex(z)
+    if z in data.singular_points:
+        raise DomainError(f"the equation is singular at z = {z!r}")
     big_a = data.singular_a
     v = series.value(z)
     dv = series.derivative(z)
@@ -628,37 +629,9 @@ def coordinate_path(
     return out
 
 
-_Matrix2 = tuple[complex, complex, complex, complex]
-
-
-def _fundamental_matrix(cont: Continuation) -> _Matrix2:
-    """[[v1, v2], [v1', v2']] of a continuation, row-major."""
-    return (cont.v1, cont.v2, cont.dv1, cont.dv2)
-
-
-def _mat_mul(x: _Matrix2, y: _Matrix2) -> _Matrix2:
-    """Product of two row-major 2 x 2 complex matrices."""
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
-def _times_power(f: _Matrix2, m: _Matrix2, n: int) -> _Matrix2:
-    """f m^n for row-major 2 x 2 matrices, by binary powering.
-
-    One squaring per bit of ``n``; every factor taken on the right is a
-    power of m, so the factors commute and their order does not matter.
-    """
-    while n:
-        if n & 1:
-            f = _mat_mul(f, m)
-        n >>= 1
-        if n:
-            m = _mat_mul(m, m)
-    return f
+def _solution_rows(cont: Continuation) -> sd._Matrix2:
+    """[[v1, v1'], [v2, v2']] of a continuation: the transposed fundamental matrix."""
+    return (cont.v1, cont.dv1, cont.v2, cont.dv2)
 
 
 def flip_probability_heun(
@@ -698,11 +671,13 @@ def flip_probability_heun(
     if n > 0:
         rest = coordinate_path(loop_time, k, step_fraction, start=r)
         rest[-1] = path[0]
-        f = _fundamental_matrix(cont)
-        g = _fundamental_matrix(
+        f = _solution_rows(cont)
+        g = _solution_rows(
             continue_along_path(data, rest, n_terms=n_terms, step_fraction=step_fraction)
         )
-        total = _times_power(f, _mat_mul(g, f), n)
+        # F (G F)^n transposed is (f g)^n f, with f and g the transposes
+        # of F and G.  Every product rounds as its transpose does.
+        total = sd._power_times(sd._mat_mul(f, g), n, f)
         # Liouville: |det| at the end of the path is the Wronskian's
         # closed-form modulus, which has no branch (the exponents are real).
         expected = math.prod(
@@ -718,7 +693,7 @@ def flip_probability_heun(
                 f"determinant of {n:.3g} composed loops drifted by {drift:.3g}; "
                 f"composition unreliable at tau = {tau!r}"
             )
-        v2 = total[1]
+        v2 = total[2]
 
     # v1(z0) = 1, v2(z0) = 0, so the solution-difference numerator reduces
     # to -v2 at the endpoint, and the start Wronskian is exactly 1.  The

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spin_dynamics as sd
-from .elliptic import jacobi
+from .elliptic import _jacobi_grid, jacobi
 from .errors import DomainError
 
 
@@ -58,13 +58,6 @@ class InvariantResiduals:
 def polarization(state: sd.SpinState) -> Polarization:
     """Polarization vector of a pure state (see `spin_dynamics.pauli_expectation`)."""
     return Polarization(*(float(c[0]) for c in sd.pauli_expectation(state.psi1, state.psi2)))
-
-
-def reduced_field(tau: float, params: sd.SimParams) -> tuple[float, float, float]:
-    """Magnetic field in Bloch units: gamma_m H(tau) / omega componentwise."""
-    trip = jacobi(tau, params.k)
-    two_h = 2.0 * params.h_over_omega
-    return (two_h * trip.cn, two_h * trip.sn, 2.0 * params.H_over_omega * trip.dn)
 
 
 def resonance_polarization(tau: float, params: sd.SimParams) -> Polarization:
@@ -108,7 +101,9 @@ def bloch_residual_of_samples(
     if not np.allclose(steps, step, rtol=1e-9, atol=0.0):
         raise DomainError("samples must be uniformly spaced")
     dp = (pol[2:] - pol[:-2]) / (2.0 * step)
-    field = np.array([reduced_field(float(t), params) for t in taus[1:-1]])
+    # The field in Bloch units, gamma_m H(tau) / omega, is twice the drive.
+    drive = sd._lab_field(_jacobi_grid(taus[1:-1], params.k), params)
+    field = np.column_stack([2.0 * c for c in drive])
     return float(np.max(np.linalg.norm(dp - np.cross(field, pol[1:-1]), axis=1)))
 
 

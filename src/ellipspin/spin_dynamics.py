@@ -17,7 +17,6 @@ oracles for the numerical path.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _dopri
-from .elliptic import _elementwise, _jacobi_grid, jacobi, quarter_period
+from .elliptic import EllipticTriple, _elementwise, _jacobi_grid, jacobi, quarter_period
 from .errors import DomainError
 
 # CODATA 2018: Bohr magneton [J/T] and reduced Planck constant [J s].
@@ -33,16 +32,6 @@ BOHR_MAGNETON = 9.2740100783e-24
 HBAR = 1.054571817e-34
 
 DEFAULT_TOL = 1e-10
-
-
-class Frame(enum.Enum):
-    LAB = "lab"
-    ROTATING = "rotating"
-
-
-class FrameMap(enum.Enum):
-    LAB_TO_ROT = "lab_to_rot"
-    ROT_TO_LAB = "rot_to_lab"
 
 
 @dataclass(frozen=True)
@@ -161,16 +150,14 @@ def derive_parameters(
     return SimParams(h_over_omega=scale * h0_tesla, H_over_omega=scale * H0_tesla, k=k)
 
 
-def hamiltonian(tau: float, params: SimParams, frame: Frame) -> np.ndarray:
-    """2x2 Hermitian Hamiltonian in units of the drive frequency."""
-    trip = jacobi(tau, params.k)
-    a = params.h_over_omega
-    if frame is Frame.LAB:
-        diag = params.H_over_omega * trip.dn
-        off = a * (trip.cn - 1j * trip.sn)
-        return np.array([[diag, off], [off.conjugate(), -diag]], dtype=complex)
-    diag = params.delta_over_omega * trip.dn
-    return np.array([[diag, a], [a, -diag]], dtype=complex)
+def _lab_field(trip: EllipticTriple, params: SimParams):
+    """The lab-frame drive (h cn, h sn, H dn) in units of the drive frequency.
+
+    ``trip`` holds (sn, cn, dn) at one argument or over a grid, and the
+    three components come back as numbers or arrays to match.
+    """
+    h = params.h_over_omega
+    return h * trip.cn, h * trip.sn, params.H_over_omega * trip.dn
 
 
 def gauge_factor(tau: float, k: float) -> complex:
@@ -181,24 +168,17 @@ def gauge_factor(tau: float, k: float) -> complex:
     points where cn = -1 the value jumps between +i and -i; the jump is a
     pure gauge phase and cancels in every probability.
     """
-    trip = jacobi(tau, k)
-    # 1 -+ cn loses precision where cn is near +-1; the identity
-    # 1 -+ cn = sn^2 / (1 +- cn) evaluates the same radicals stably.
-    if trip.cn >= 0.0:
-        re = math.sqrt(0.5 * (1.0 + trip.cn))
-        im = math.sqrt(0.5 * trip.sn * trip.sn / (1.0 + trip.cn))
-    else:
-        re = math.sqrt(0.5 * trip.sn * trip.sn / (1.0 - trip.cn))
-        im = math.sqrt(0.5 * (1.0 - trip.cn))
-    sign = -1.0 if trip.sn < 0.0 else 1.0
-    return complex(re, -sign * im)
+    re, im = _gauge_factor_grid(np.array([float(tau)]), k)
+    return complex(re[0], im[0])
 
 
 def _gauge_factor_grid(taus: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of `gauge_factor` over a grid, bit for bit.
+    """Real and imaginary parts of `gauge_factor` over a grid.
 
-    Both half-angle branches share the denominator 1 + |cn|, which is
-    never below 1, so selecting per element costs no division by zero.
+    1 -+ cn loses precision where cn is near +-1; the identity
+    1 -+ cn = sn^2 / (1 +- cn) evaluates the same radicals stably.  Both
+    half-angle branches share the denominator 1 + |cn|, which is never
+    below 1, so selecting per element costs no division by zero.
     """
     trip = _jacobi_grid(taus, k)
     sn, cn = trip.sn, trip.cn
@@ -210,33 +190,11 @@ def _gauge_factor_grid(taus: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarr
     return np.sqrt(np.where(pos, near, far)), np.where(sn < 0.0, im, -im)
 
 
-def map_frame(state: SpinState, tau: float, k: float, direction: FrameMap) -> SpinState:
-    """Apply diag(f, f*) (rot -> lab) or its inverse (lab -> rot)."""
-    f = gauge_factor(tau, k)
-    if direction is FrameMap.ROT_TO_LAB:
-        return SpinState(f * state.psi1, f.conjugate() * state.psi2)
-    # |f| = 1, so the inverse of diag(f, f*) is diag(f*, f).
-    return SpinState(f.conjugate() * state.psi1, f * state.psi2)
-
-
 def rotating_rhs(
     tau: float, params: SimParams, psi1: complex, psi2: complex
 ) -> tuple[complex, complex]:
     """Right-hand side of the rotating-frame Schrodinger system."""
     return _bind_rotating(params)(tau, psi1, psi2)
-
-
-def lab_rhs(
-    tau: float, params: SimParams, psi1: complex, psi2: complex
-) -> tuple[complex, complex]:
-    """Right-hand side of the lab-frame Schrodinger system."""
-    trip = jacobi(tau, params.k)
-    d = params.H_over_omega * trip.dn
-    off = params.h_over_omega * (trip.cn - 1j * trip.sn)
-    return (
-        -1j * (d * psi1 + off * psi2),
-        -1j * (off.conjugate() * psi1 - d * psi2),
-    )
 
 
 def _bind_rotating(params: SimParams) -> _dopri.RHS:
@@ -315,24 +273,33 @@ def pauli_expectation(
     return (2.0 * cross_re, 2.0 * cross_im, _abs_squared(r1, i1) - _abs_squared(r2, i2))
 
 
-def _power_times(
-    col: tuple[complex, complex], m: int, v: tuple[complex, complex]
-) -> tuple[complex, complex]:
-    """U^m v for U = [[a, -conj(b)], [b, conj(a)]] with first column ``col`` = (a, b).
+_Matrix2 = tuple[complex, complex, complex, complex]
 
-    Binary powering: one squaring per bit of ``m``, so a power costs
-    O(log m) products.  Products of matrices of this form keep the form,
-    so each is carried by its first column alone.
+
+def _mat_mul(x: _Matrix2, y: _Matrix2) -> _Matrix2:
+    """Product of two row-major 2 x 2 complex matrices."""
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _power_times(m: _Matrix2, n: int, x: _Matrix2) -> _Matrix2:
+    """m^n x for row-major 2 x 2 matrices, by binary powering.
+
+    One squaring per bit of ``n``, so a power costs O(log n) products.
+    Every factor taken on the left is a power of m, so the factors
+    commute and their order does not matter.
     """
-    a, b = col
-    v1, v2 = v
-    while m:
-        if m & 1:
-            v1, v2 = a * v1 - b.conjugate() * v2, b * v1 + a.conjugate() * v2
-        m >>= 1
-        if m:
-            a, b = a * a - b.conjugate() * b, b * a + a.conjugate() * b
-    return v1, v2
+    while n:
+        if n & 1:
+            x = _mat_mul(m, x)
+        n >>= 1
+        if n:
+            m = _mat_mul(m, m)
+    return x
 
 
 def _rotating_states(
@@ -370,16 +337,19 @@ def _rotating_states(
         grid.append(period)
     cols = _dopri.integrate(_bind_rotating(params), (1.0 + 0j, 0j), grid, tol)
     del grid
-    one_period = cols.pop() if whole else None
+    if whole:
+        a, b = cols.pop()
+        one_period = (a, -b.conjugate(), b, a.conjugate())
 
-    v = (complex(psi0[0]), complex(psi0[1]))
+    # psi0 as the first column of a 2 x 2 matrix, for `_power_times`.
+    v = (complex(psi0[0]), 0j, complex(psi0[1]), 0j)
     done = 0
     runs = []
     for n in distinct.tolist():
         if n > done:
             v = _power_times(one_period, int(n) - done, v)
             done = int(n)
-        runs.append(v)
+        runs.append((v[0], v[2]))
 
     # The list of per-sample tuples is the largest object here: free it
     # before any other per-sample array exists.
@@ -460,19 +430,19 @@ def evolve_lab_frame(
     taus = _validate_grid(tau_grid)
 
     def rhs(tau: float, p1: complex, p2: complex) -> tuple[complex, complex]:
-        return lab_rhs(tau, params, p1, p2)
+        bx, by, bz = _lab_field(jacobi(tau, params.k), params)
+        off = complex(bx, -by)
+        return (-1j * (bz * p1 + off * p2), -1j * (off.conjugate() * p1 - bz * p2))
 
     states = _dopri.integrate(rhs, (initial.psi1, initial.psi2), taus, tol)
     return np.array(states, dtype=complex)
 
 
 def propagator(tau: float, params: SimParams, tol: float = DEFAULT_TOL) -> Propagator:
-    """Lab-frame propagator from the rotating-frame one at ``tau``.
+    """Lab-frame propagator at ``tau``, from the state `evolve` reaches from (1, 0).
 
-    The rotating-frame propagator is composed from one period of the
-    generator, as in `evolve`.  Its first column (a, b) is the state
-    reached from (1, 0); the generator is traceless Hermitian, so the
-    second column is (-conj(b), conj(a)) exactly.
+    That state is the first column (a, b); the generator is traceless
+    Hermitian, so the second column is (-conj(b), conj(a)) exactly.
 
     The result is unitary within about ``tol`` at any horizon and drive.
     At a fixed local tolerance the unitarity defect grows by about that
@@ -484,11 +454,9 @@ def propagator(tau: float, params: SimParams, tol: float = DEFAULT_TOL) -> Propa
         raise DomainError(f"tol must be positive, got {tol!r}")
     tau = require_tau(tau)
     local_tol = tol / max(1.0, tau * params.rabi_over_omega)
-    col = _rotating_states(params, (1.0 + 0j, 0j), np.array([0.0, tau]), local_tol)
-    a, b = complex(col[-1, 0]), complex(col[-1, 1])
-    f = gauge_factor(tau, params.k)
-    fc = f.conjugate()
-    return Propagator(u11=f * a, u12=-f * b.conjugate(), u21=fc * b, u22=fc * a.conjugate())
+    grid = [0.0, tau] if tau > 0.0 else [0.0]
+    a, b = evolve(SPIN_UP, params, grid, local_tol).lab[-1].tolist()
+    return Propagator(u11=a, u12=-b.conjugate(), u21=b, u22=a.conjugate())
 
 
 def rabi_probability(tau: float, params: SimParams) -> float:
@@ -537,7 +505,7 @@ def probability_from_fundamental_pair(
     wronskian0 = fa0 * db0 - fb0 * da0
     if abs(wronskian0) < 1e-13:
         raise DomainError("initial conditions do not span a fundamental system")
-    _, fa = _dopri.integrate_to(rhs, (ic_a.psi1, ic_a.psi2), tau, tol)
-    _, fb = _dopri.integrate_to(rhs, (ic_b.psi1, ic_b.psi2), tau, tol)
+    _, fa = _dopri.integrate(rhs, (ic_a.psi1, ic_a.psi2), (0.0, tau), tol)[-1]
+    _, fb = _dopri.integrate(rhs, (ic_b.psi1, ic_b.psi2), (0.0, tau), tol)[-1]
     a = params.h_over_omega
     return a * a * abs(fa * fb0 - fb * fa0) ** 2 / abs(wronskian0) ** 2

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ellipspin.heun as heun
 import ellipspin.spin_dynamics as sd
 from ellipspin import cli
 from ellipspin.elliptic import jacobi, jacobi_identity_residuals
@@ -204,6 +203,38 @@ class TestSimulate:
         assert err.startswith("runtime failure in reduction cross-check")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    @pytest.mark.parametrize("k", ["0.0", "1.0"])
+    def test_heun_check_outside_open_modulus_is_a_config_error(self, tmp_path, k, to_file):
+        # Refused before any output: the CSV used to be written in full
+        # first, and only then the run exited 2.
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(
+            RESONANCE_CONFIG.replace("outputs = trajectory", "outputs = trajectory,heun_check")
+            .replace("k = 0.7", f"k = {k}")
+            .replace("n_samples = 201", "n_samples = 5")
+        )
+        out = tmp_path / "out.csv"
+        proc = run_cli("simulate", str(cfg), *(["-o", str(out)] if to_file else []))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"config error: heun_check requires 0 < k < 1 (line 13, column 10)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["1.4", "-0.2"])
+    def test_heun_check_keeps_the_modulus_range_error(self, tmp_path, k):
+        # An invalid modulus is reported as such, not as a cross-check limit.
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(
+            RESONANCE_CONFIG.replace("outputs = trajectory", "outputs = trajectory,heun_check")
+            .replace("k = 0.7", f"k = {k}")
+            .replace("n_samples = 201", "n_samples = 5")
+        )
+        proc = run_cli("simulate", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == f"config error: modulus k must lie in [0, 1], got {k}\n".encode()
+
     def test_wigner_output(self, tmp_path):
         cfg = tmp_path / "w.cfg"
         cfg.write_text(
@@ -385,13 +416,14 @@ class TestVerify:
         proc = run_cli("verify", "heun")
         assert proc.returncode == 0, proc.stderr
         assert b"PASS  loop_composition" in proc.stdout
-        # Loops applied in the wrong order, (G F)^n F instead of F (G F)^n.
-        real = heun._times_power
+        # The shared 2 x 2 power applied in the wrong order, x m^n instead
+        # of m^n x: the Heun side then composes (G F)^n F, not F (G F)^n.
+        real = sd._power_times
 
-        def wrong_order(f, m, n):
-            return heun._mat_mul(real((1.0, 0.0, 0.0, 1.0), m, n), f)
+        def wrong_order(m, n, x):
+            return sd._mat_mul(x, real(m, n, (1.0, 0.0, 0.0, 1.0)))
 
-        monkeypatch.setattr(heun, "_times_power", wrong_order)
+        monkeypatch.setattr(sd, "_power_times", wrong_order)
         rc, err = run_in_process("verify", "heun")
         assert rc == 1
         assert "loop_composition" in err

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ellipspin.heun as heun
+import ellipspin.spin_dynamics as sd
 from ellipspin import (
     DomainError,
     LogarithmicCaseError,
@@ -41,13 +42,14 @@ def spin_up() -> SpinState:
 class TestCoordinate:
     def test_value_at_origin(self):
         for k in (0.2, 0.5, 0.8):
-            z = heun.z_of_tau(0.0, k)
-            assert z == pytest.approx(-1j / math.sqrt(k), abs=1e-14)
+            assert heun.heun_coordinate(0.0, k) == pytest.approx(-1.0 / k, abs=1e-14)
 
     @pytest.mark.parametrize("k", [0.0, 1.0, -0.3, 1.4])
     def test_modulus_domain(self, k):
         with pytest.raises(DomainError):
-            heun.z_of_tau(0.5, k)
+            heun.heun_coordinate(0.5, k)
+        with pytest.raises(DomainError):
+            heun.heun_coordinate_derivative(0.5, k)
 
     @given(
         tau=st.floats(min_value=-20.0, max_value=20.0),
@@ -55,25 +57,21 @@ class TestCoordinate:
     )
     @settings(max_examples=200, deadline=None)
     def test_lies_on_circle(self, tau, k):
-        assert abs(abs(heun.z_of_tau(tau, k)) - 1.0 / math.sqrt(k)) < 1e-10
+        assert abs(abs(heun.heun_coordinate(tau, k)) - 1.0 / k) < 1e-10
 
     def test_path_avoids_singular_points(self):
         k = 0.5
         sing = (0.0, 1.0, 1.0 / k ** 2)
-        min_raw = math.inf
         min_sq = math.inf
         for tau in np.linspace(0.0, 4.0, 400):
-            z = heun.z_of_tau(float(tau), k)
             zz = heun.heun_coordinate(float(tau), k)
-            min_raw = min(min_raw, min(abs(z - s) for s in sing))
             min_sq = min(min_sq, min(abs(zz - s) for s in sing))
-        assert min_raw > 0.05
         assert min_sq > 0.05
 
     def test_matches_shifted_elliptic_argument(self):
-        # The explicit expression equals sn evaluated half-way down the
-        # imaginary quarter period; the algebraic equation lives in its
-        # square.  Recorded against mpmath's complex elliptic functions.
+        # The coordinate is the square of sn evaluated half-way down the
+        # imaginary quarter period.  Recorded against mpmath's complex
+        # elliptic functions.
         mp.mp.dps = 30
         for k in (0.3, 0.5, 0.8):
             kp2 = 1.0 - k * k
@@ -81,16 +79,14 @@ class TestCoordinate:
             for tau in (0.0, 0.7, 1.9, 3.3):
                 shifted = (tau - 1j * kprime_period) / 2
                 sn_half = complex(mp.ellipfun("sn", shifted, k=k))
-                z = heun.z_of_tau(tau, k)
-                assert abs(z - sn_half) < 1e-12
                 assert abs(heun.heun_coordinate(tau, k) - sn_half ** 2) < 1e-12
 
     def test_derivative_against_finite_differences(self):
         k = 0.6
         eps = 1e-6
         for tau in (0.3, 1.2, 2.9):
-            fd = (heun.z_of_tau(tau + eps, k) - heun.z_of_tau(tau - eps, k)) / (2 * eps)
-            assert abs(heun.dz_dtau(tau, k) - fd) < 1e-8
+            fd = (heun.heun_coordinate(tau + eps, k) - heun.heun_coordinate(tau - eps, k)) / (2 * eps)
+            assert abs(heun.heun_coordinate_derivative(tau, k) - fd) < 1e-8
 
     @given(
         tau=st.floats(min_value=-10.0, max_value=10.0),
@@ -299,6 +295,30 @@ class TestLocalSeries:
             assert series.derivative(series.center) == c[1]
             assert series.second_derivative(series.center) == 2.0 * c[2]
 
+    @pytest.mark.parametrize("selection", ["+++", "---"])
+    def test_singular_center_with_negative_power(self, selection):
+        # (z - center)^(exponent - order) is infinite at the center when
+        # exponent - order < 0: every order for "+++" here, orders 1 and 2
+        # for "---".  Before, 15 of these 18 calls raised ZeroDivisionError.
+        data = heun.heun_parameters(SimParams.from_detuning(0.4, 0.12, 0.6), selection)
+        for center in data.singular_points:
+            series = heun.local_series(data, center, 1, n_terms=16)
+            assert series.exponent != 0.0
+            for order, fn in enumerate(
+                (series.value, series.derivative, series.second_derivative)
+            ):
+                if series.exponent < order:
+                    with pytest.raises(DomainError):
+                        fn(series.center)
+                else:
+                    assert fn(series.center) == 0.0
+
+    def test_equation_residual_rejects_singular_points(self, data):
+        for center in data.singular_points:
+            series = heun.local_series(data, center, 0, n_terms=16)
+            with pytest.raises(DomainError):
+                heun.equation_residual(data, series, center)
+
     def test_rejects_too_few_terms(self, data):
         with pytest.raises(DomainError):
             heun.local_series(data, 0.0, 0, n_terms=4)
@@ -435,6 +455,39 @@ class TestLoopComposition:
                     assert heun.flip_probability_heun(tau, p, selection=sel) == _direct_probability(
                         tau, p, sel
                     )
+
+    def test_transposed_power_rounds_as_right_multiplication(self):
+        # The composition F (G F)^n taken by right multiplication, as it
+        # was before the shared kernel, against the kernel's (f g)^n f on
+        # the transposes f = F^T, g = G^T: bit for bit, transposed.
+        def mul(x, y):
+            return (
+                x[0] * y[0] + x[1] * y[2],
+                x[0] * y[1] + x[1] * y[3],
+                x[2] * y[0] + x[3] * y[2],
+                x[2] * y[1] + x[3] * y[3],
+            )
+
+        def transpose(x):
+            return (x[0], x[2], x[1], x[3])
+
+        def unitary(rng):
+            q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            return tuple(q.ravel().tolist())
+
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            f, g = unitary(rng), unitary(rng)
+            n = int(rng.integers(1, 5001))
+            want, m, e = f, mul(g, f), n
+            while e:
+                if e & 1:
+                    want = mul(want, m)
+                e >>= 1
+                if e:
+                    m = mul(m, m)
+            got = sd._power_times(sd._mat_mul(transpose(f), transpose(g)), n, transpose(f))
+            assert transpose(got) == want, n
 
     def test_cost_does_not_grow_with_the_horizon(self, monkeypatch):
         calls = []

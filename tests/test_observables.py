@@ -67,15 +67,18 @@ class TestBlochResidual:
         assert obs.bloch_residual(traj, p) < 1e-6
 
     def test_matches_pointwise_loop(self):
-        # Reference: the residual written out sample by sample.  The
-        # vectorised body only reorders roundoff on O(1) terms.
+        # Reference: the residual written out sample by sample, with the
+        # Bloch field gamma_m H / omega = 2 (h cn, h sn, H dn) from scalar
+        # jacobi.  The vectorised body only reorders roundoff on O(1) terms.
         p = SimParams.from_detuning(0.4, 0.15, 0.7)
         taus = np.linspace(0.0, 3.0, 301)
         pol = evolve(spin_up(), p, taus).polarization
         step = taus[1] - taus[0]
         worst = 0.0
         for i in range(1, len(taus) - 1):
-            b = obs.reduced_field(float(taus[i]), p)
+            trip = jacobi(float(taus[i]), p.k)
+            two_h = 2.0 * p.h_over_omega
+            b = (two_h * trip.cn, two_h * trip.sn, 2.0 * p.H_over_omega * trip.dn)
             dp = (pol[i + 1] - pol[i - 1]) / (2.0 * step)
             worst = max(worst, math.dist(dp, np.cross(b, pol[i])))
         assert obs.bloch_residual_of_samples(taus, pol, p) == pytest.approx(worst, abs=1e-12)

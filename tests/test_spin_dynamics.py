@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 import ellipspin.heun as heun
 import ellipspin.spin_dynamics as sd
 from ellipspin import _dopri
+from ellipspin.elliptic import _jacobi_grid
 from ellipspin import (
     DomainError,
-    Frame,
-    FrameMap,
     IntegrationError,
     SimParams,
     SpinState,
@@ -21,10 +20,8 @@ from ellipspin import (
     euler_angles,
     evolve,
     gauge_factor,
-    hamiltonian,
     jacobi,
     lame_residual,
-    map_frame,
     propagator,
     quarter_period,
     rabi_probability,
@@ -77,34 +74,31 @@ class TestSimParams:
             SimParams(0.1, 0.5, k)
 
 
-class TestHamiltonian:
+class TestDriveField:
     def test_lab_at_origin(self):
         p = SimParams.from_detuning(0.25, 0.1, 0.6)
-        m = hamiltonian(0.0, p, Frame.LAB)
-        expected = np.array(
-            [[p.H_over_omega, 0.25], [0.25, -p.H_over_omega]], dtype=complex
-        )
-        assert np.allclose(m, expected, atol=0.0)
+        assert sd._lab_field(jacobi(0.0, p.k), p) == (0.25, 0.0, p.H_over_omega)
+
+    def test_lab_circular_limit(self):
+        p = SimParams.from_detuning(0.2, 0.1, 0.0)
+        for tau in (0.3, 1.1, 2.8):
+            bx, by, bz = sd._lab_field(jacobi(tau, 0.0), p)
+            assert complex(bx, -by) == pytest.approx(0.2 * cmath.exp(-1j * tau), abs=1e-15)
+            assert bz == pytest.approx(p.H_over_omega, abs=1e-15)
+
+    def test_lab_grid_matches_scalar(self):
+        p = SimParams.from_detuning(0.4, -0.2, 0.7)
+        taus = np.linspace(-30.0, 30.0, 201)
+        grid = sd._lab_field(_jacobi_grid(taus, p.k), p)
+        for i, tau in enumerate(taus.tolist()):
+            assert tuple(c[i] for c in grid) == sd._lab_field(jacobi(tau, p.k), p)
 
     def test_rotating_constant_at_resonance(self):
         for k in (0.0, 0.5, 0.99):
             p = SimParams.from_detuning(0.3, 0.0, k)
             for tau in (0.0, 1.3, 4.0, 9.2):
-                m = hamiltonian(tau, p, Frame.ROTATING)
-                assert np.allclose(m, [[0.0, 0.3], [0.3, 0.0]], atol=0.0)
-
-    def test_lab_circular_limit(self):
-        p = SimParams.from_detuning(0.2, 0.1, 0.0)
-        for tau in (0.3, 1.1, 2.8):
-            m = hamiltonian(tau, p, Frame.LAB)
-            assert m[0, 1] == pytest.approx(0.2 * cmath.exp(-1j * tau), abs=1e-15)
-            assert m[0, 0] == pytest.approx(p.H_over_omega, abs=1e-15)
-
-    def test_hermitian(self):
-        p = SimParams.from_detuning(0.4, -0.2, 0.7)
-        for frame in Frame:
-            m = hamiltonian(1.7, p, frame)
-            assert np.array_equal(m, m.conj().T)
+                got = sd.rotating_rhs(tau, p, 0.6 + 0j, 0.8j)
+                assert got == (-1j * 0.3 * 0.8j, -1j * 0.3 * (0.6 + 0j))
 
 
 class TestGaugeFactor:
@@ -125,29 +119,6 @@ class TestGaugeFactor:
         trip = jacobi(tau, k)
         assert abs(abs(f) - 1.0) < 1e-12
         assert abs(f * f - complex(trip.cn, -trip.sn)) < 1e-12
-
-
-class TestMapFrame:
-    def test_identity_at_origin(self):
-        s = SpinState(0.6 + 0.0j, 0.8j)
-        out = map_frame(s, 0.0, 0.7, FrameMap.LAB_TO_ROT)
-        assert out == s
-
-    def test_round_trip(self):
-        s = SpinState(0.6 + 0.0j, 0.8j)
-        for tau in (0.4, 2.9, 7.7):
-            back = map_frame(
-                map_frame(s, tau, 0.5, FrameMap.LAB_TO_ROT), tau, 0.5, FrameMap.ROT_TO_LAB
-            )
-            assert abs(back.psi1 - s.psi1) < 1e-14
-            assert abs(back.psi2 - s.psi2) < 1e-14
-
-    def test_component_magnitudes_invariant(self):
-        s = SpinState(math.sqrt(0.3) + 0j, complex(0.1, math.sqrt(0.69)))
-        for tau in (0.9, 3.3):
-            out = map_frame(s, tau, 0.8, FrameMap.ROT_TO_LAB)
-            assert abs(abs(out.psi1) - abs(s.psi1)) < 1e-14
-            assert abs(abs(out.psi2) - abs(s.psi2)) < 1e-14
 
 
 class TestEvolve:
@@ -229,8 +200,29 @@ class TestEvolve:
         assert abs(traj.lab[125, 0]) == pytest.approx(abs(traj.rot[125, 0]), abs=1e-14)
 
 
-def _scalar_power_times(col, m, v):
-    """U^m v by binary powering, U = [[a, -conj(b)], [b, conj(a)]] from its column (a, b)."""
+def _half_angle_gauge_factor(tau, k):
+    """f = sqrt(cn - i sn) from scalar `jacobi`, one half-angle branch at a time.
+
+    The scalar form `gauge_factor` had before it read the grid kernel,
+    kept as the independent reference for `_gauge_factor_grid`.
+    """
+    trip = jacobi(tau, k)
+    if trip.cn >= 0.0:
+        re = math.sqrt(0.5 * (1.0 + trip.cn))
+        im = math.sqrt(0.5 * trip.sn * trip.sn / (1.0 + trip.cn))
+    else:
+        re = math.sqrt(0.5 * trip.sn * trip.sn / (1.0 - trip.cn))
+        im = math.sqrt(0.5 * (1.0 - trip.cn))
+    sign = -1.0 if trip.sn < 0.0 else 1.0
+    return complex(re, -sign * im)
+
+
+def _column_power_times(col, m, v):
+    """U^m v by binary powering, U = [[a, -conj(b)], [b, conj(a)]] from its column (a, b).
+
+    The SU(2) column form `evolve` composed with before the shared 2 x 2
+    kernel, kept as the reference for `_power_times`.
+    """
     a, b = col
     v1, v2 = v
     while m:
@@ -247,9 +239,10 @@ def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
 
     The same one-period integration `evolve` makes, then a scalar Python
     loop: each state is U(r) U(T)^n psi0 for tau = n T + r, with the power
-    carried forward across the gaps between successive n, and the gauge
-    factor and observables from the complex expressions.  The reference
-    for the bits of `evolve`'s array arithmetic.
+    carried forward across the gaps between successive n by the shared
+    kernel `_power_times`, and the gauge factor and observables from the
+    complex expressions.  The reference for the bits of `evolve`'s array
+    arithmetic; `TestPowerKernel` pins the kernel itself.
     """
     period = 2.0 * quarter_period(params.k) if params.k < 1.0 else math.inf
     split = [divmod(tau, period) for tau in taus.tolist()]
@@ -268,11 +261,14 @@ def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
     for i, tau in enumerate(taus.tolist()):
         turns = int(split[i][0])
         if turns > done:
-            v, done = _scalar_power_times(cols[-1], turns - done, v), turns
+            a, b = cols[-1]
+            u_t = (a, -b.conjugate(), b, a.conjugate())
+            x = sd._power_times(u_t, turns - done, (v[0], 0j, v[1], 0j))
+            v, done = (x[0], x[2]), turns
         a, b = col_at[i]
         p1 = a * v[0] - b.conjugate() * v[1]
         p2 = b * v[0] + a.conjugate() * v[1]
-        f = gauge_factor(tau, params.k)
+        f = _half_angle_gauge_factor(tau, params.k)
         l1, l2 = f * p1, f.conjugate() * p2
         rot[i] = p1, p2
         lab[i, 0], lab[i, 1] = l1, l2
@@ -287,6 +283,40 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
         a.view(np.uint64), b.view(np.uint64)
     )
+
+
+class TestPowerKernel:
+    """`_power_times` on the ODE's SU(2) powers, against the column form."""
+
+    @staticmethod
+    def _check(a, b, v, m):
+        want = _column_power_times((a, b), m, v)
+        got = sd._power_times((a, -b.conjugate(), b, a.conjugate()), m, (v[0], 0j, v[1], 0j))
+        assert got[1] == got[3] == 0
+        # Bit for bit up to the sign of exact zeros (adding 0.0 folds -0.0
+        # into +0.0): x + (-p) and x - p round a zero result differently.
+        assert same_bits(np.array([got[0], got[2]]) + 0.0, np.array(want) + 0.0), (a, b, v, m)
+
+    def test_random_su2_cases(self):
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            z = rng.normal(size=8)
+            col = z[:4] / np.linalg.norm(z[:4])
+            v = z[4:] / np.linalg.norm(z[4:])
+            self._check(
+                complex(col[0], col[1]),
+                complex(col[2], col[3]),
+                (complex(v[0], v[1]), complex(v[2], v[3])),
+                int(rng.integers(1, 5001)),
+            )
+
+    def test_resonance_cases_with_exact_zeros(self):
+        # At zero detuning U(T) = [[c, -i s], [-i s, c]]: real and
+        # imaginary parts vanish exactly all the way through.
+        for angle in (0.3, 1.7, 2.9):
+            a, b = complex(math.cos(angle), 0.0), complex(0.0, -math.sin(angle))
+            for m in (1, 2, 7, 64, 1001):
+                self._check(a, b, (1.0 + 0j, 0j), m)
 
 
 class TestEvolveOnWholeGrid:
@@ -313,9 +343,17 @@ class TestEvolveOnWholeGrid:
         taus = np.concatenate([rng.uniform(-60.0, 60.0, 2000), [0.0, 2.0 * quarter_period(0.7)]])
         for k in (0.0, 0.7, 1.0):
             re, im = sd._gauge_factor_grid(taus, k)
-            scalar = [gauge_factor(t, k) for t in taus.tolist()]
+            scalar = [_half_angle_gauge_factor(t, k) for t in taus.tolist()]
             assert same_bits(re, np.array([f.real for f in scalar]))
             assert same_bits(im, np.array([f.imag for f in scalar]))
+
+    def test_scalar_gauge_factor_matches_half_angle_form(self):
+        rng = np.random.default_rng(29)
+        for _ in range(3000):
+            k = float(rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0]))
+            tau = float(rng.uniform(-800.0, 800.0))
+            got, want = gauge_factor(tau, k), _half_angle_gauge_factor(tau, k)
+            assert same_bits(np.array([got]), np.array([want])), (tau, k)
 
     def test_pauli_expectation_number_and_array_agree(self):
         rng = np.random.default_rng(5)
@@ -432,7 +470,33 @@ class TestPeriodComposition:
         assert peak < 4 * 2**20
 
 
+def _assembled_propagator(tau, params, tol=sd.DEFAULT_TOL):
+    """The lab propagator as assembled before it read `evolve`'s last sample.
+
+    The rotating-frame column from (1, 0) at the tightened tolerance, then
+    products with the scalar gauge factor f: [[f a, -f conj(b)],
+    [conj(f) b, conj(f) conj(a)]].
+    """
+    local_tol = tol / max(1.0, tau * params.rabi_over_omega)
+    col = sd._rotating_states(params, (1.0 + 0j, 0j), np.array([0.0, tau]), local_tol)
+    a, b = complex(col[-1, 0]), complex(col[-1, 1])
+    f = _half_angle_gauge_factor(tau, params.k)
+    fc = f.conjugate()
+    return np.array([[f * a, -f * b.conjugate()], [fc * b, fc * a.conjugate()]])
+
+
 class TestPropagator:
+    def test_bit_identical_to_scalar_assembly(self):
+        # Up to the sign of zero entries (adding 0.0 folds -0.0 into +0.0):
+        # at tau = 0 the two assemblies round exact zeros to opposite signs.
+        rng = np.random.default_rng(17)
+        for i in range(24):
+            k = (0.0, float(rng.uniform(0.0, 1.0)), 1.0)[i % 3]
+            p = SimParams.from_detuning(float(rng.uniform(0.05, 2.0)), float(rng.uniform(-1.0, 1.0)), k)
+            tau = 0.0 if i < 3 else float(rng.uniform(0.0, 60.0))
+            got = propagator(tau, p).as_matrix() + 0.0
+            assert same_bits(got, _assembled_propagator(tau, p) + 0.0), (p, tau)
+
     def test_identity_at_origin(self):
         p = SimParams.from_detuning(0.2, 0.1, 0.5)
         u = propagator(0.0, p)
