@@ -100,7 +100,10 @@ def _read_pairs(path: str) -> dict[str, tuple[str, int, int]]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        col = raw.index("=") + 2
+        # 1-based column of the value's first character; of the character
+        # after "=" when the value is empty.
+        eq = raw.index("=")
+        col = raw.index(value, eq + 1) + 1 if value else eq + 2
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno, raw.find(key) + 1)
         if key in pairs:
@@ -208,6 +211,8 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
         for out in outputs:
             if out not in OUTPUT_KINDS:
                 raise ConfigError(f"unknown output kind {out!r}", line, col)
+            if allow_grids and out != "trajectory":
+                raise ConfigError(f"sweep writes only the trajectory, not {out!r}", line, col)
     else:
         outputs = ("trajectory",)
 
@@ -216,8 +221,8 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
     except DomainError as exc:
         raise ConfigError(str(exc))
     # Checked before any output is written, after the modulus itself is
-    # known to be valid; `sweep` ignores `outputs`.
-    if "heun_check" in outputs and not allow_grids and not 0.0 < params.k < 1.0:
+    # known to be valid.
+    if "heun_check" in outputs and not 0.0 < params.k < 1.0:
         raise ConfigError("heun_check requires 0 < k < 1", line, col)
     return Scenario(
         params=params,

@@ -409,24 +409,41 @@ def _frobenius_coefficients(
 
 
 def _taylor_coefficients(
-    data: HeunData, center: complex, a0: complex, a1: complex, n_terms: int
-) -> list[complex]:
-    """Taylor coefficients about an ordinary center from v(center), v'(center)."""
+    data: HeunData,
+    center: complex,
+    a0: complex,
+    a1: complex,
+    b0: complex,
+    b1: complex,
+    n_terms: int,
+) -> tuple[list[complex], list[complex]]:
+    """Taylor coefficients of two solutions about an ordinary center.
+
+    The solutions start from (v, v') = (a0, a1) and (b0, b1) at the
+    center.  They obey the same three-term recurrence, so each order's
+    weights are formed once and applied to both coefficient lists.
+    """
     p3, p2, p1 = _local_polynomials(data, center)
     if p3[0] == 0:
         raise DomainError(f"center {center!r} is a singular point")
-    a = [complex(a0), complex(a1)] + [0.0j] * (n_terms - 2)
+    a = [complex(a0), complex(a1)]
+    b = [complex(b0), complex(b1)]
     for m in range(2, n_terms):
-        acc = 0.0j
         i = m - 1
-        acc += a[i] * (i * (i - 1.0) * p3[1] + i * p2[0])
+        w1 = i * (i - 1.0) * p3[1] + i * p2[0]
         i = m - 2
-        acc += a[i] * (i * (i - 1.0) * p3[2] + i * p2[1] + p1[0])
+        w2 = i * (i - 1.0) * p3[2] + i * p2[1] + p1[0]
+        acc_a = a[m - 1] * w1 + a[m - 2] * w2
+        acc_b = b[m - 1] * w1 + b[m - 2] * w2
         if m >= 3:
             i = m - 3
-            acc += a[i] * (i * (i - 1.0) * p3[3] + i * p2[2] + p1[1])
-        a[m] = -acc / (m * (m - 1.0) * p3[0])
-    return a
+            w3 = i * (i - 1.0) * p3[3] + i * p2[2] + p1[1]
+            acc_a += a[i] * w3
+            acc_b += b[i] * w3
+        den = m * (m - 1.0) * p3[0]
+        a.append(-acc_a / den)
+        b.append(-acc_b / den)
+    return a, b
 
 
 def _nearest_other_singular(center: complex, points: Sequence[float]) -> float:
@@ -469,8 +486,7 @@ def local_series(
             break
 
     if singular_index is None:
-        a0, a1 = (1.0, 0.0) if exponent_choice == 0 else (0.0, 1.0)
-        coeffs = _taylor_coefficients(data, center, a0, a1, n_terms)
+        coeffs = _taylor_coefficients(data, center, 1.0, 0.0, 0.0, 1.0, n_terms)[exponent_choice]
         return LocalSeries(center=center, exponent=0.0, coefficients=tuple(coeffs), radius=radius)
 
     rho = 0.0 if exponent_choice == 0 else second_exponent[singular_index]
@@ -553,8 +569,7 @@ def continue_along_path(
                 raise StepError(f"step underflow near z = {zc!r}")
             zeta = znext - zc
 
-            c1 = _taylor_coefficients(data, zc, v1, dv1, n_terms)
-            c2 = _taylor_coefficients(data, zc, v2, dv2, n_terms)
+            c1, c2 = _taylor_coefficients(data, zc, v1, dv1, v2, dv2, n_terms)
 
             # Convergence guard: the trailing terms must be negligible at zeta.
             scale = max(abs(v1), abs(dv1), abs(v2), abs(dv2), 1e-300)
@@ -566,17 +581,15 @@ def continue_along_path(
                     f"(tail {tail!r} vs scale {scale!r})"
                 )
 
-            def horner(c: list[complex]) -> tuple[complex, complex]:
-                val = 0.0j
-                der = 0.0j
-                for n in range(len(c) - 1, 0, -1):
-                    val = val * zeta + c[n]
-                    der = der * zeta + n * c[n]
-                val = val * zeta + c[0]
-                return val, der
-
-            v1, dv1 = horner(c1)
-            v2, dv2 = horner(c2)
+            # Both series and their derivatives at zeta, by one Horner loop.
+            v1 = dv1 = v2 = dv2 = 0.0j
+            for n in range(n_terms - 1, 0, -1):
+                v1 = v1 * zeta + c1[n]
+                dv1 = dv1 * zeta + n * c1[n]
+                v2 = v2 * zeta + c2[n]
+                dv2 = dv2 * zeta + n * c2[n]
+            v1 = v1 * zeta + c1[0]
+            v2 = v2 * zeta + c2[0]
 
             for e, s in zip(w_exponents, points):
                 log_w_expected -= e * cmath.log((znext - s) / (zc - s))

@@ -70,11 +70,14 @@ def _check_j(j: float) -> float:
     return j
 
 
-def _check_projection(j: float, m: float, name: str) -> float:
+def _check_projection(j: float, m: float, name: str) -> int:
+    """Row index round(j - m) of projection m, which must be valid for spin j."""
     m = float(m)
-    if abs((j - m) - round(j - m)) > 1e-9 or m < -j - 1e-12 or m > j + 1e-12:
+    offset = j - m
+    idx = round(offset)
+    if abs(offset - idx) > 1e-9 or m < -j - 1e-12 or m > j + 1e-12:
         raise DomainError(f"{name} = {m!r} is not a valid projection for j = {j!r}")
-    return m
+    return idx
 
 
 def euler_angles(u: Propagator) -> EulerAngles:
@@ -152,6 +155,6 @@ def transition_probability_j(j: float, m: float, m_prime: float, theta: float) -
     every (m, m') at one theta builds the matrix once.
     """
     j = _check_j(j)
-    m = _check_projection(j, m, "m")
-    m_prime = _check_projection(j, m_prime, "m_prime")
-    return float(_reduced_d(round(2 * j), float(theta))[round(j - m), round(j - m_prime)] ** 2)
+    row = _check_projection(j, m, "m")
+    col = _check_projection(j, m_prime, "m_prime")
+    return float(_reduced_d(round(2 * j), float(theta))[row, col] ** 2)

@@ -33,3 +33,20 @@ def test_name_exists(module, attr):
     mod = importlib.import_module(f"{_TRACING.PACKAGE}.{module}")
     assert callable(getattr(mod, attr, None)), f"{module}.{attr}"
 
+
+
+def test_flip_probability_reaches_the_traced_heun_names():
+    # A name that exists but is no longer called would read 0, not None.
+    heun = importlib.import_module(f"{_TRACING.PACKAGE}.heun")
+    params = importlib.import_module(_TRACING.PACKAGE).SimParams.from_detuning(0.25, 0.1, 0.7)
+    tracer = _TRACING.Tracer()
+    tracer.install()
+    try:
+        heun.flip_probability_heun(2.0, params)
+    finally:
+        tracer.uninstall()
+    counts = tracer.round_counts()
+    assert counts["heun.flip_probability_heun.calls"] == 1
+    assert counts["heun.taylor_steps"] > 0
+    assert counts["heun.waypoints"] > 0
+    assert not hasattr(heun._taylor_coefficients, "__wrapped__"), "tracer left installed"

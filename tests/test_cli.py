@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,24 @@ class TestSimulate:
         assert proc.returncode == 2
         assert b"tau_max" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "line, column",
+        [
+            ("tau_max = ten", 11),
+            ("tau_max=ten", 9),
+            ("  tau_max  =\t  ten  ", 16),
+            ("tau_max = ten = 3", 11),
+            # An empty value points just past the "=".
+            ("tau_max =  ", 10),
+        ],
+    )
+    def test_bad_value_column_is_its_first_character(self, tmp_path, line, column):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(RESONANCE_CONFIG.replace("tau_max = 10.0", line))
+        rc, err = run_in_process("simulate", str(cfg))
+        assert rc == 2
+        assert err.endswith(f"(line 5, column {column})\n"), err
+
     def test_missing_config(self, tmp_path):
         proc = run_cli("simulate", str(tmp_path / "none.cfg"))
         assert proc.returncode == 2
@@ -218,7 +237,7 @@ class TestSimulate:
         proc = run_cli("simulate", str(cfg), *(["-o", str(out)] if to_file else []))
         assert proc.returncode == 2
         assert proc.stdout == b""
-        assert proc.stderr == b"config error: heun_check requires 0 < k < 1 (line 13, column 10)\n"
+        assert proc.stderr == b"config error: heun_check requires 0 < k < 1 (line 13, column 11)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("k", ["1.4", "-0.2"])
@@ -373,6 +392,39 @@ class TestSweep:
         assert proc.stderr.startswith(b"config error: unknown key 'sweep_cap'")
         assert proc.stderr.count(b"\n") == 1
 
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_heun_check_scenario_is_refused(self, tmp_path, to_file):
+        # `sweep` used to parse `outputs`, drop the extra kinds and exit 0.
+        cfg = Path(__file__).resolve().parents[1] / "scenarios" / "heun_cross_check.cfg"
+        out = tmp_path / "out.csv"
+        proc = run_cli("sweep", str(cfg), *(["-o", str(out)] if to_file else []))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"config error: sweep writes only the trajectory, not 'heun_check' (line 9, column 11)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "outputs, kind",
+        [("wigner", "wigner"), ("trajectory, probability", "probability"), ("trajectory,polarization", "polarization")],
+    )
+    def test_outputs_other_than_trajectory_are_refused(self, tmp_path, outputs, kind):
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(SWEEP_CONFIG + f"outputs = {outputs}\n")
+        rc, err = run_in_process("sweep", str(cfg))
+        assert rc == 2
+        assert err == f"config error: sweep writes only the trajectory, not {kind!r} (line 7, column 11)\n"
+
+    def test_trajectory_output_is_accepted(self, tmp_path):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(SWEEP_CONFIG)
+        listed = tmp_path / "listed.cfg"
+        listed.write_text(SWEEP_CONFIG + "outputs = trajectory\n")
+        got = run_cli("sweep", str(listed))
+        assert got.returncode == 0, got.stderr
+        assert got.stdout == run_cli("sweep", str(plain)).stdout
 
     def test_row_budget(self, tmp_path):
         cfg = tmp_path / "rows.cfg"

@@ -333,6 +333,120 @@ class TestLocalSeries:
             heun.local_series(data, 0.0, exponent_choice=1, n_terms=16)
 
 
+def _reference_taylor(data, center, a0, a1, n_terms):
+    """One solution's Taylor coefficients, by the single-seed recurrence.
+
+    The kernel `continue_along_path` called once per member of the
+    fundamental system before the recurrence was shared, kept as the
+    reference.
+    """
+    p3, p2, p1 = heun._local_polynomials(data, center)
+    a = [complex(a0), complex(a1)] + [0.0j] * (n_terms - 2)
+    for m in range(2, n_terms):
+        acc = 0.0j
+        i = m - 1
+        acc += a[i] * (i * (i - 1.0) * p3[1] + i * p2[0])
+        i = m - 2
+        acc += a[i] * (i * (i - 1.0) * p3[2] + i * p2[1] + p1[0])
+        if m >= 3:
+            i = m - 3
+            acc += a[i] * (i * (i - 1.0) * p3[3] + i * p2[2] + p1[1])
+        a[m] = -acc / (m * (m - 1.0) * p3[0])
+    return a
+
+
+def _reference_horner(c, zeta):
+    """(value, derivative) of one series at zeta, as the old closure took them."""
+    val = 0.0j
+    der = 0.0j
+    for n in range(len(c) - 1, 0, -1):
+        val = val * zeta + c[n]
+        der = der * zeta + n * c[n]
+    val = val * zeta + c[0]
+    return val, der
+
+
+def _reference_continuation(data, path, n_terms=heun.DEFAULT_N_TERMS, step_fraction=0.5):
+    """(v1, v1', v2, v2', steps) by the step rule of `continue_along_path`.
+
+    Each member of the fundamental system is re-expanded on its own; the
+    guards are left out, so this only says what the values should be.
+    """
+    points = data.singular_points
+    zc = complex(path[0])
+    v1, dv1, v2, dv2 = 1.0 + 0j, 0.0j, 0.0j, 1.0 + 0j
+    steps = 0
+    for leg_end in path[1:]:
+        target = complex(leg_end)
+        while zc != target:
+            max_step = step_fraction * min(abs(zc - s) for s in points)
+            span = target - zc
+            znext = target if abs(span) <= max_step else zc + span / abs(span) * max_step
+            zeta = znext - zc
+            v1, dv1 = _reference_horner(_reference_taylor(data, zc, v1, dv1, n_terms), zeta)
+            v2, dv2 = _reference_horner(_reference_taylor(data, zc, v2, dv2, n_terms), zeta)
+            zc = znext
+            steps += 1
+    return v1, dv1, v2, dv2, steps
+
+
+class TestTaylorKernel:
+    """Both members of the fundamental system from one recurrence."""
+
+    @pytest.mark.parametrize("n_terms", [8, 24, 48])
+    def test_bit_identical_to_single_seed_recurrence(self, n_terms):
+        rng = np.random.default_rng(12)
+        for selection in ("+++", "-+-", "---"):
+            data = heun.heun_parameters(SimParams.from_detuning(0.35, 0.14, 0.6), selection)
+            for _ in range(20):
+                center = complex(*rng.uniform(-3.0, 3.0, 2))
+                a0, a1, b0, b1 = (complex(*rng.normal(size=2)) for _ in range(4))
+                a, b = heun._taylor_coefficients(data, center, a0, a1, b0, b1, n_terms)
+                assert a == _reference_taylor(data, center, a0, a1, n_terms)
+                assert b == _reference_taylor(data, center, b0, b1, n_terms)
+
+    def test_singular_center_rejected(self):
+        data = heun.heun_parameters(SimParams.from_detuning(0.35, 0.14, 0.6), "---")
+        for center in data.singular_points:
+            with pytest.raises(DomainError):
+                heun._taylor_coefficients(data, center, 1.0, 0.0, 0.0, 1.0, 16)
+
+    @pytest.mark.parametrize("n_terms", [8, 24, 48])
+    def test_local_series_at_ordinary_centers(self, n_terms):
+        data = heun.heun_parameters(SimParams.from_detuning(0.4, 0.12, 0.6), "---")
+        for center in (-0.7 - 0.9j, 0.5 + 0.5j, 2.0 - 0.3j):
+            for choice, seed in ((0, (1.0, 0.0)), (1, (0.0, 1.0))):
+                series = heun.local_series(data, center, choice, n_terms=n_terms)
+                assert series.coefficients == tuple(_reference_taylor(data, center, *seed, n_terms))
+
+    @pytest.mark.parametrize("k", [0.05, 0.5, 0.95])
+    def test_continuation_bit_identical(self, k):
+        for h, delta, selection in ((0.3, 0.12, "---"), (0.2, -0.3, "+-+")):
+            data = heun.heun_parameters(SimParams.from_detuning(h, delta, k), selection)
+            for tau, n_terms in ((0.7, 24), (6.0, 48)):
+                path = heun.coordinate_path(tau, k)
+                cont = heun.continue_along_path(data, path, n_terms=n_terms)
+                want = _reference_continuation(data, path, n_terms)
+                assert (cont.v1, cont.dv1, cont.v2, cont.dv2) == want[:4]
+
+    def test_one_recurrence_per_step(self, monkeypatch):
+        calls = []
+        real = heun._taylor_coefficients
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        data = heun.heun_parameters(SimParams.from_detuning(0.25, 0.1, 0.7), "---")
+        path = heun.coordinate_path(9.0, 0.7)
+        steps = _reference_continuation(data, path)[4]
+        monkeypatch.setattr(heun, "_taylor_coefficients", counting)
+        heun.continue_along_path(data, path)
+        assert steps > 10
+        assert len(calls) == steps
+        assert len(set(calls)) == steps
+
+
 class TestContinuation:
     @pytest.fixture()
     def data(self):
@@ -504,7 +618,7 @@ class TestLoopComposition:
         far = len(calls)
         calls.clear()
         heun.flip_probability_heun(math.fmod(3000.0, loop_time) + loop_time, p)
-        assert far <= len(calls)
+        assert 0 < far <= len(calls)
 
     # About 1,200 loops at tau = 1e4.  Powers repeat one loop's rounding
     # error coherently, so it grows n-fold, not like a random walk as
