@@ -11,8 +11,6 @@ spin through Euler angles and rotation matrices.
 
 from .elliptic import (
     EllipticTriple,
-    QuarterPeriods,
-    complete_elliptic,
     jacobi,
     jacobi_identity_residuals,
     quarter_period,
@@ -45,9 +43,7 @@ from .heun import (
 from .observables import (
     InvariantResiduals,
     Polarization,
-    bloch_residual,
     four_vector_residuals,
-    lame_residual,
     polarization,
     resonance_polarization,
 )
@@ -83,7 +79,6 @@ __all__ = [
     "PathError",
     "Polarization",
     "Propagator",
-    "QuarterPeriods",
     "SELECTIONS",
     "SimParams",
     "SpinJMatrix",
@@ -91,8 +86,6 @@ __all__ = [
     "StepError",
     "Trajectory",
     "algebraic_coefficients",
-    "bloch_residual",
-    "complete_elliptic",
     "continue_along_path",
     "derive_parameters",
     "euler_angles",
@@ -106,7 +99,6 @@ __all__ = [
     "indicial_exponents",
     "jacobi",
     "jacobi_identity_residuals",
-    "lame_residual",
     "local_series",
     "polarization",
     "propagator",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .errors import IntegrationError
+from .errors import DomainError, IntegrationError
 
 # Dormand-Prince 5(4) tableau (the ode45 pair), FSAL.
 _C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
@@ -84,10 +84,13 @@ def integrate(
 ) -> list[tuple[complex, complex]]:
     """Integrate from sample_taus[0] and return the state at every sample time.
 
-    ``sample_taus`` must be non-decreasing.  Raises IntegrationError on
-    step-size underflow, carrying the last time reached.  The states are
-    Python complex numbers whatever the type of the sample times.
+    ``sample_taus`` must be non-decreasing.  Raises DomainError unless
+    ``tol`` is positive, and IntegrationError on step-size underflow,
+    carrying the last time reached.  The states are Python complex
+    numbers whatever the type of the sample times.
     """
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     # numpy float64 times would make every interpolated state a numpy
     # scalar, several times slower to compute and to use; the values are
     # the same.

@@ -248,23 +248,30 @@ def _fmt(x: float) -> str:
 _CHUNK_ROWS = 1024
 
 
-def _write_rows(output: str | None, header: str, rows) -> None:
+def _write_rows(output: str | None, header: str, rows) -> int:
     """Write ``header`` and then each tuple of floats in ``rows`` as a CSV line.
 
     The CSV goes to the file ``output``, opened and closed here, or to
     stdout when ``output`` is None.  ``"%.17g" % x`` gives the same bytes
-    as ``_fmt(x)`` for a float.
+    as ``_fmt(x)`` for a float.  Returns the exit code, EXIT_CONFIG with
+    one line on stderr when ``output`` cannot be opened.
     """
-    with (
-        open(output, "w", encoding="ascii", newline="\n")
-        if output is not None
-        else contextlib.nullcontext(sys.stdout)
-    ) as stream:
+    try:
+        target = (
+            open(output, "w", encoding="ascii", newline="\n")
+            if output is not None
+            else contextlib.nullcontext(sys.stdout)
+        )
+    except OSError as exc:
+        print(f"config error: cannot write output {output!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
+    with target as stream:
         stream.write(header + "\n")
         template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
         rows = iter(rows)
         while chunk := list(islice(rows, _CHUNK_ROWS)):
             stream.write("".join([template % row for row in chunk]))
+    return EXIT_OK
 
 
 def _column_rows(*columns: np.ndarray):
@@ -291,7 +298,7 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
         return EXIT_CONFIG
 
     lab, pol = traj.lab, traj.polarization
-    _write_rows(
+    rc = _write_rows(
         output,
         "tau,re_psi1,im_psi1,re_psi2,im_psi2,p_flip,px,py,pz,norm_drift",
         _column_rows(
@@ -307,6 +314,8 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
             traj.norm_drift,
         ),
     )
+    if rc != EXIT_OK:
+        return rc
 
     # Extra requested outputs go to stderr so the CSV bytes stay canonical.
     if "heun_check" in scenario.outputs:
@@ -372,7 +381,7 @@ def cmd_sweep(config_path: str, output: str | None) -> int:
         return EXIT_CONFIG
 
     tau_list = taus.tolist()
-    _write_rows(
+    return _write_rows(
         output,
         "k,delta_over_omega,h_over_omega,tau,p_flip",
         (
@@ -381,7 +390,6 @@ def cmd_sweep(config_path: str, output: str | None) -> int:
             for row in zip(repeat(k), repeat(d), repeat(h), tau_list, pf.tolist())
         ),
     )
-    return EXIT_OK
 
 
 def cmd_verify(suite: str, tol: float) -> int:
@@ -424,12 +432,11 @@ def cmd_elliptic_table(k: float, u_max: float, n: int, output: str | None) -> in
 
     u = np.linspace(0.0, u_max, n)
     trip = _jacobi_grid(u, k)
-    _write_rows(
+    return _write_rows(
         output,
         "u,sn,cn,dn,res_sncn,res_dnsn",
         _column_rows(u, trip.sn, trip.cn, trip.dn, *jacobi_identity_residuals(trip, k)),
     )
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Jacobi elliptic functions and complete elliptic integrals, built from scratch.
+"""Jacobi elliptic functions and the quarter period K(k), built from scratch.
 
 Everything here works with a real argument ``u`` and a real modulus
 ``k`` in ``[0, 1]``.  The complete integral K(k) comes from the
@@ -53,14 +53,6 @@ class EllipticTriple:
         return (self.sn, self.cn, self.dn)
 
 
-@dataclass(frozen=True)
-class QuarterPeriods:
-    """Complete elliptic integrals K(k) and K'(k) = K(k') with k^2 + k'^2 = 1."""
-
-    K: float
-    Kprime: float
-
-
 def _check_modulus(k: float, allow_one: bool) -> float:
     k = float(k)
     if not math.isfinite(k) or k < 0.0:
@@ -73,28 +65,6 @@ def _check_modulus(k: float, allow_one: bool) -> float:
             f"complete elliptic integral diverges as k -> 1; need k < 1, got {k!r}"
         )
     return k
-
-
-def _agm(a: float, b: float) -> float:
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_RTOL * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
-
-
-def complete_elliptic(k: float) -> QuarterPeriods:
-    """Complete elliptic integrals of the first kind for modulus k in [0, 1).
-
-    K(k) is computed as pi / (2 * agm(1, k')) which converges to machine
-    precision in a handful of iterations.  Kprime is K evaluated at the
-    complementary modulus; it is infinite at k = 0.
-    """
-    k = _check_modulus(k, allow_one=False)
-    kp = math.sqrt((1.0 - k) * (1.0 + k))
-    big_k = math.pi / (2.0 * _agm(1.0, kp))
-    kprime = math.inf if k == 0.0 else math.pi / (2.0 * _agm(1.0, k))
-    return QuarterPeriods(K=big_k, Kprime=kprime)
 
 
 @lru_cache(maxsize=256)
@@ -122,7 +92,7 @@ def _amplitude_tables(k: float) -> tuple[tuple[float, ...], tuple[float, ...], f
 
 
 def quarter_period(k: float) -> float:
-    """K(k) via the cached AGM tables (k in [0, 1))."""
+    """Complete elliptic integral K(k), k in [0, 1), from the cached AGM tables."""
     k = _check_modulus(k, allow_one=False)
     if k == 0.0:
         return 0.5 * math.pi

@@ -77,11 +77,6 @@ def resonance_polarization(tau: float, params: sd.SimParams) -> Polarization:
     return Polarization(px=trip.sn * s, py=-trip.cn * s, pz=c)
 
 
-def bloch_residual(traj: sd.Trajectory, params: sd.SimParams) -> float:
-    """Max finite-difference residual of dP/dtau = B(tau) x P over a trajectory."""
-    return bloch_residual_of_samples(traj.taus, traj.polarization, params)
-
-
 def bloch_residual_of_samples(
     taus: np.ndarray, pol: np.ndarray, params: sd.SimParams
 ) -> float:
@@ -90,8 +85,9 @@ def bloch_residual_of_samples(
     Central differences on the interior samples; the samples must be
     uniformly spaced and at least three.  The bracket in the Bloch
     equation is read as the vector cross product, a convention this
-    residual validates against the Schrodinger evolution.  Bare arrays
-    let closed-form polarization samples be checked without a trajectory.
+    residual validates against the Schrodinger evolution.  A trajectory
+    passes ``traj.taus, traj.polarization``; closed-form polarization
+    samples pass their own arrays.
     """
     n = len(taus)
     if n < 3:
@@ -164,13 +160,3 @@ def lame_residual_from_state(
     coeff = 1j * d * k * k * trip.sn * trip.cn - (d * k) ** 2 * trip.sn ** 2 + omega2
     return abs(phi2_dd + coeff * state.psi2)
 
-
-def lame_residual(params: sd.SimParams, tau: float, tol: float = sd.DEFAULT_TOL) -> float:
-    """Residual of the flip-amplitude equation on the spin-up solution at tau."""
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    u = sd.propagator(tau, params, tol=tol)
-    # Rotating-frame state reached from spin-up: undo the gauge factor.
-    f = sd.gauge_factor(tau, params.k)
-    state = sd.SpinState(u.u11 / f, u.u21 / f.conjugate())
-    return lame_residual_from_state(params, tau, state)

@@ -50,15 +50,6 @@ class SpinJMatrix:
     j: float
     entries: np.ndarray
 
-    def projection_index(self, m: float) -> int:
-        idx = round(self.j - m)
-        if not math.isclose(self.j - m, idx, abs_tol=1e-12) or not 0 <= idx <= round(2 * self.j):
-            raise DomainError(f"projection {m!r} invalid for j = {self.j!r}")
-        return int(idx)
-
-    def entry(self, m: float, m_prime: float) -> complex:
-        return complex(self.entries[self.projection_index(m), self.projection_index(m_prime)])
-
 
 def _check_j(j: float) -> float:
     j = float(j)
@@ -89,7 +80,7 @@ def euler_angles(u: Propagator) -> EulerAngles:
     set to zero by convention.
     """
     defect = u.unitarity_defect()
-    if defect > 1e-9:
+    if not defect <= 1e-9:
         raise DomainError(f"propagator is not unitary (defect {defect!r})")
     mag_flip = abs(u.u21)
     mag_stay = abs(u.u11)
@@ -114,8 +105,11 @@ def _reduced_d(two_j: int, theta: float) -> np.ndarray:
 
     with c = cos(theta/2), s = sin(theta/2), a and b counting down from
     m = +J, and out-of-range entries of d' taken as zero.  Only the last
-    result is kept: callers ask for every (m, m') at one angle.
+    result is kept: callers ask for every (m, m') at one angle.  theta
+    is checked here, so a cache hit pays nothing for the check.
     """
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta!r}")
     c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
     d = np.ones((1, 1))
@@ -137,6 +131,8 @@ def _reduced_d(two_j: int, theta: float) -> np.ndarray:
 def wigner_d(j: float, angles: EulerAngles) -> SpinJMatrix:
     """Full rotation matrix for spin j at the given Euler angles."""
     j = _check_j(j)
+    if not (math.isfinite(angles.phi) and math.isfinite(angles.psi)):
+        raise DomainError(f"Euler angles must be finite, got {angles!r}")
     dim = round(2 * j) + 1
     idx = np.arange(dim)
     ms = j - idx
@@ -152,7 +148,8 @@ def transition_probability_j(j: float, m: float, m_prime: float, theta: float) -
     The squared (m, m') entry of the reduced rotation matrix d^J(theta).
     The matrix is built by spin-1/2 coupling, so the value is finite and
     accurate to roundoff on the whole closed interval [0, pi]; asking for
-    every (m, m') at one theta builds the matrix once.
+    every (m, m') at one theta builds the matrix once.  A non-finite theta
+    raises DomainError.
     """
     j = _check_j(j)
     row = _check_projection(j, m, "m")

@@ -1,18 +1,22 @@
-"""The program names the benchmark wraps and reads must exist.
+"""The program names the benchmark wraps, reads and calls must exist.
 
 `bench/tracing.py` reports a wrapped name the program no longer has as
 absent (None) instead of failing, so a cleanup that renames or deletes one
-would silently empty a per-layer metric.  This reads the tracer's tables
-as they are, without importing the rest of the benchmark.
+would silently empty a per-layer metric.  A name that `bench/workloads.py`
+calls and the program has lost shows up only inside the benchmark, as
+failed operations.  This reads the tracer's tables and the workloads'
+source as they are, without importing the rest of the benchmark.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _tracing():
@@ -28,11 +32,35 @@ _WRAPPED = sorted({**_TRACING.TIMED, **_TRACING.COUNTED})
 _READ_BY_SELFTEST = [("spin_dynamics", "jacobi"), ("heun", "jacobi"), ("cli", "_fmt")]
 
 
+# Looked up on the package by the rounds: `es.<name>` and `es.cli.<name>`.
+_CALLED_BY_WORKLOADS = sorted(
+    set(re.findall(r"\bes\.((?:cli\.)?[A-Za-z_]\w*)", (BENCH / "workloads.py").read_text()))
+)
+
+
 @pytest.mark.parametrize("module, attr", _WRAPPED + _READ_BY_SELFTEST)
 def test_name_exists(module, attr):
     mod = importlib.import_module(f"{_TRACING.PACKAGE}.{module}")
     assert callable(getattr(mod, attr, None)), f"{module}.{attr}"
 
+
+def test_workload_names_are_read():
+    assert {"evolve", "cli.main"} <= set(_CALLED_BY_WORKLOADS)
+
+
+@pytest.mark.parametrize("dotted", _CALLED_BY_WORKLOADS)
+def test_workload_name_exists(dotted):
+    # The worker imports the cli module itself; the package does not.
+    importlib.import_module(f"{_TRACING.PACKAGE}.cli")
+    obj = importlib.import_module(_TRACING.PACKAGE)
+    for part in dotted.split("."):
+        obj = getattr(obj, part, None)
+        assert obj is not None, dotted
+
+
+def test_package_all_resolves():
+    package = importlib.import_module(_TRACING.PACKAGE)
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
 
 
 def test_flip_probability_reaches_the_traced_heun_names():

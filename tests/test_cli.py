@@ -537,6 +537,23 @@ class TestEllipticTable:
         assert b"Traceback" not in proc.stderr and proc.stdout == b""
 
 
+class TestUnwritableOutput:
+    """`-o` to a path that cannot be opened is a config error, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "elliptic-table"])
+    def test_missing_directory(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SWEEP_CONFIG if command == "sweep" else RESONANCE_CONFIG)
+        args = ["0.5", "1", "3"] if command == "elliptic-table" else [str(cfg)]
+        out = tmp_path / "missing" / "x.csv"
+        proc = run_cli(command, *args, "-o", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"config error: cannot write output")
+        assert proc.stderr.count(b"\n") == 1
+        assert not out.parent.exists()
+
+
 DENSE_CONFIG = """\
 k = 0.7
 h_over_omega = 0.3

@@ -1,4 +1,4 @@
-"""Tests for the Jacobi elliptic functions and complete integrals.
+"""Tests for the Jacobi elliptic functions and the quarter period K(k).
 
 The independent oracles here are adaptive quadrature of the defining
 integrals (scipy) and root-finding inversion of the incomplete integral;
@@ -15,7 +15,6 @@ from scipy.optimize import brentq
 
 from ellipspin import (
     DomainError,
-    complete_elliptic,
     jacobi,
     jacobi_identity_residuals,
     quarter_period,
@@ -56,29 +55,18 @@ def sn_inversion_oracle(u: float, k: float) -> float:
     return math.sin(phi_star)
 
 
-class TestCompleteElliptic:
+class TestQuarterPeriod:
     def test_k_zero_is_half_pi(self):
-        assert complete_elliptic(0.0).K == pytest.approx(0.5 * math.pi, abs=0.0)
-
-    def test_kprime_is_complementary_k(self):
-        # k = 0.8 has complementary modulus 0.6 exactly.
-        assert complete_elliptic(0.8).Kprime == pytest.approx(
-            complete_elliptic(0.6).K, abs=1e-12
-        )
+        assert quarter_period(0.0) == 0.5 * math.pi
 
     def test_matches_quadrature_oracle(self):
         for k in (0.3, 0.5, 0.9):
-            assert complete_elliptic(k).K == pytest.approx(
-                k_quadrature_oracle(k), abs=1e-10
-            )
-
-    def test_kprime_at_zero_diverges(self):
-        assert complete_elliptic(0.0).Kprime == math.inf
+            assert quarter_period(k) == pytest.approx(k_quadrature_oracle(k), abs=1e-10)
 
     @pytest.mark.parametrize("bad", [1.0, 1.5, -0.1, math.nan, math.inf])
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
-            complete_elliptic(bad)
+            quarter_period(bad)
 
 
 class TestJacobi:

@@ -21,7 +21,6 @@ from ellipspin import (
     evolve,
     gauge_factor,
     jacobi,
-    lame_residual,
     propagator,
     quarter_period,
     rabi_probability,
@@ -638,6 +637,18 @@ class TestFundamentalSystem:
             assembled = sd.probability_from_fundamental_pair(tau, p, ic_a, ic_b)
             assert abs(direct - assembled) < 1e-8
 
+    def test_pair_is_integrated_independently_of_evolve(self):
+        # Each initial condition gets its own integration.  Built from the
+        # one column (a, b) that `evolve` integrates from (1, 0), the
+        # assembled probability reduces to |b|^2, evolve's own p_flip, and
+        # the cross-check would agree to roundoff at any tol.
+        p = SimParams.from_detuning(0.37, 0.21, 0.6)
+        ic_a = SpinState(math.sqrt(0.5) + 0j, math.sqrt(0.5) + 0j)
+        ic_b = SpinState(math.sqrt(0.5) + 0j, -math.sqrt(0.5) + 0j)
+        direct = float(evolve(spin_up(), p, [0.0, 3.0], tol=1e-4).p_flip[-1])
+        assembled = sd.probability_from_fundamental_pair(3.0, p, ic_a, ic_b, tol=1e-4)
+        assert abs(direct - assembled) > 1e-7
+
     def test_degenerate_pair_rejected(self):
         p = SimParams.from_detuning(0.3, 0.2, 0.5)
         s = SpinState(math.sqrt(0.5) + 0j, math.sqrt(0.5) + 0j)
@@ -651,7 +662,6 @@ _TAU_ENTRIES = {
     "evolve": lambda tau: evolve(spin_up(), _DETUNED, [0.0, tau]),
     "evolve_lab_frame": lambda tau: sd.evolve_lab_frame(spin_up(), _DETUNED, [0.0, tau]),
     "propagator": lambda tau: propagator(tau, _DETUNED),
-    "lame_residual": lambda tau: lame_residual(_DETUNED, tau),
     "probability_from_fundamental_pair": lambda tau: sd.probability_from_fundamental_pair(
         tau, _DETUNED, spin_up(), _SPIN_DOWN
     ),
@@ -677,6 +687,27 @@ class TestTauDomain:
     def test_rabi_probability_is_even_in_tau(self):
         p = SimParams.from_detuning(0.3, 0.4, 0.0)
         assert rabi_probability(-1.3, p) == rabi_probability(1.3, p)
+
+
+_TOL_ENTRIES = {
+    "evolve": lambda tol: evolve(spin_up(), _DETUNED, [0.0, 1.0], tol=tol),
+    "evolve_lab_frame": lambda tol: sd.evolve_lab_frame(spin_up(), _DETUNED, [0.0, 1.0], tol=tol),
+    "propagator": lambda tol: propagator(1.0, _DETUNED, tol=tol),
+    "probability_from_fundamental_pair": lambda tol: sd.probability_from_fundamental_pair(
+        1.0, _DETUNED, spin_up(), _SPIN_DOWN, tol=tol
+    ),
+}
+
+
+class TestTolDomain:
+    # One check in the integrator covers every entry.  Before it, the
+    # fundamental pair ended in ZeroDivisionError, TypeError or
+    # IntegrationError.
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    @pytest.mark.parametrize("entry", sorted(_TOL_ENTRIES))
+    def test_integrating_entries_reject_non_positive_tol(self, entry, tol):
+        with pytest.raises(DomainError, match="tol must be positive"):
+            _TOL_ENTRIES[entry](tol)
 
 
 class TestIntegratorFailure:

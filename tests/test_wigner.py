@@ -25,6 +25,8 @@ from ellipspin import (
     wigner_d,
 )
 
+NAN = complex(math.nan, 0.0)
+
 
 def x_generator(j: float) -> np.ndarray:
     """J_x from ladder operators, in the descending-projection basis."""
@@ -101,6 +103,14 @@ class TestEulerAngles:
         with pytest.raises(DomainError):
             euler_angles(Propagator(1.0 + 0j, 0.0j, 0.0j, 0.5 + 0j))
 
+    @pytest.mark.parametrize(
+        "u", [Propagator(NAN, 0j, 0j, NAN), Propagator(1 + 0j, 0j, NAN, 1 + 0j)]
+    )
+    def test_rejects_non_finite(self, u):
+        # A defect of nan used to pass the unitarity check and give theta nan.
+        with pytest.raises(DomainError, match="not unitary"):
+            euler_angles(u)
+
 
 class TestWignerD:
     def test_half_matches_propagator(self):
@@ -164,6 +174,15 @@ class TestWignerD:
         with pytest.raises(DomainError):
             wigner_d(j, EulerAngles(0.0, 0.1, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["phi", "theta", "psi"])
+    def test_rejects_non_finite_angles(self, name, bad):
+        angles = {"phi": 0.3, "theta": 0.7, "psi": -0.2}
+        # Warm the cache: the phi and psi cases then hit it for theta.
+        wigner_d(1.0, EulerAngles(**angles))
+        with pytest.raises(DomainError, match="must be finite"):
+            wigner_d(1.0, EulerAngles(**{**angles, name: bad}))
+
 
 class TestTransitionProbability:
     def test_half_flip_is_sine_squared(self):
@@ -210,6 +229,12 @@ class TestTransitionProbability:
                 assert abs(prob - abs(d[a, b]) ** 2) < 1e-10
                 mirrored = transition_probability_j(j, -m, -mp, theta)
                 assert abs(prob - mirrored) < 1e-10
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_theta(self, theta):
+        # nan used to come back as the probability, and inf as ValueError.
+        with pytest.raises(DomainError, match="theta must be finite"):
+            transition_probability_j(1.0, 1.0, 0.0, theta)
 
     def test_rejects_out_of_range_projection(self):
         with pytest.raises(DomainError):
