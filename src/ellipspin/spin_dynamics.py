@@ -302,44 +302,89 @@ def _power_times(m: _Matrix2, n: int, x: _Matrix2) -> _Matrix2:
     return x
 
 
+def _pulse_end(params: SimParams, tol: float) -> float:
+    """tau_c past which the k = 1 generator is a sigma_x within tol / 100, else inf.
+
+    At k = 1, dn = sech, so the generator a sigma_x + (D/w) sech(tau) sigma_z
+    differs from a sigma_x past tau_c = ln(200 |D/w| / tol) by a term whose
+    integral is at most 2 |D/w| e^(-tau_c) = tol / 100.  Every other case,
+    and a tol the integrator will reject, has no tail.
+    """
+    d = abs(params.delta_over_omega)
+    if params.k < 1.0 or d == 0.0 or not tol > 0.0:
+        return math.inf
+    return max(0.0, math.log(200.0 * d / tol))
+
+
+def _free_rotation(a: float, s: np.ndarray, col: tuple[complex, complex]) -> np.ndarray:
+    """exp(-i a s sigma_x) (c1, c2) for every element of ``s``, as an (n, 2) array.
+
+    The rotation is cos(a s) I - i sin(a s) sigma_x.  cos and sin go
+    through `math` element by element, and the products are written out
+    in real and imaginary parts.
+    """
+    turn = a * s
+    c, sn = _elementwise(math.cos, turn), _elementwise(math.sin, turn)
+    (ar, ai), (br, bi) = [(z.real, z.imag) for z in col]
+    out = np.empty((len(s), 2), dtype=complex)
+    out.real[:, 0], out.imag[:, 0] = c * ar + sn * bi, c * ai - sn * br
+    out.real[:, 1], out.imag[:, 1] = c * br + sn * ai, c * bi - sn * ar
+    return out
+
+
 def _rotating_states(
     params: SimParams, psi0: tuple[complex, complex], taus: np.ndarray, tol: float
 ) -> np.ndarray:
-    """Rotating-frame states U(tau_i) psi0, composed from one period of the generator.
+    """Rotating-frame states U(tau_i) psi0, from one bounded integration.
 
     The generator a sigma_x + (D/w) dn(tau, k) sigma_z depends on tau only
-    through dn, whose period is T = 2K(k) (infinite at k = 1).  So with
-    tau = n T + r, 0 <= r < T, the propagator is U(tau) = U(r) U(T)^n.
-    One integration from (1, 0) over the sorted offsets r_i, with T
-    appended when some n_i > 0, gives the first column (a, b) of every
-    U(r_i) and of U(T).  The generator is traceless Hermitian, so each
-    propagator is [[a, -conj(b)], [b, conj(a)]] exactly.  The powers of
-    U(T) act on psi0 once per distinct n_i, by squaring across the gaps
-    between them, so cost and memory grow with the sample count, not
-    with tau / T.  k = 1, or a grid ending below T, is the case where
-    every n_i = 0.  Nothing is renormalized.
+    through dn, whose period is T = 2K(k).  So with tau = n T + r,
+    0 <= r < T, the propagator is U(tau) = U(r) U(T)^n.  At k = 1 dn is
+    the single pulse sech tau and T is infinite.  At resonance dn drops
+    out, so k = 1 takes k = 0's period T = pi; off resonance the pulse has
+    passed by `_pulse_end`'s tau_c, and each later U(tau) is
+    exp(-i a sigma_x (tau - tau_c)) U(tau_c) in closed form.
+
+    One integration from (1, 0) over the sorted offsets r_i up to tau_c,
+    with T (or tau_c) appended when some sample lies beyond, gives the
+    first column (a, b) of every U(r_i) and of U(T) (or U(tau_c)).  The
+    generator is traceless Hermitian, so each propagator is
+    [[a, -conj(b)], [b, conj(a)]] exactly.  The powers of U(T) act on
+    psi0 once per distinct n_i, by squaring across the gaps between them,
+    so cost and memory grow with the sample count, not with the horizon.
+    Nothing is renormalized.
 
     ``taus`` is non-decreasing and starts at 0.  Returns an (n, 2)
     complex array; the per-sample products use split real/imaginary
     arithmetic, bit for bit the Python complex expressions.
     """
-    period = 2.0 * quarter_period(params.k) if params.k < 1.0 else math.inf
+    k = 0.0 if params.k == 1.0 and params.delta_over_omega == 0.0 else params.k
+    period = 2.0 * quarter_period(k) if k < 1.0 else math.inf
+    tau_c = _pulse_end(params, tol)
     turns, offsets = np.divmod(taus, period)
     # taus increase, so the samples of each n form one run, in order.
     starts = np.flatnonzero(np.diff(turns, prepend=-1.0))
     distinct, counts = turns[starts], np.diff(starts, append=len(turns))
     del turns, starts
     order = np.argsort(offsets, kind="stable")
-    grid = offsets[order].tolist()
+    offsets = offsets[order]
+    cut = int(np.searchsorted(offsets, tau_c, side="right"))
+    grid = offsets[:cut].tolist()
+    past = offsets[cut:] - tau_c
     del offsets
     whole = distinct[-1] > 0.0  # some sample lies a period or more out
     if whole:
         grid.append(period)
+    elif len(past):
+        grid.append(tau_c)
     cols = _dopri.integrate(_bind_rotating(params), (1.0 + 0j, 0j), grid, tol)
     del grid
     if whole:
         a, b = cols.pop()
         one_period = (a, -b.conjugate(), b, a.conjugate())
+    elif len(past):
+        # From here on, the first columns of U(tau) past the pulse.
+        past = _free_rotation(params.h_over_omega, past, cols.pop())
 
     # psi0 as the first column of a 2 x 2 matrix, for `_power_times`.
     v = (complex(psi0[0]), 0j, complex(psi0[1]), 0j)
@@ -355,6 +400,9 @@ def _rotating_states(
     # before any other per-sample array exists.
     sorted_cols = np.array(cols, dtype=complex)
     del cols
+    if len(past):
+        sorted_cols = np.concatenate([sorted_cols, past])
+    del past
     out = np.empty_like(sorted_cols)
     out[order] = sorted_cols
     del sorted_cols, order
@@ -389,11 +437,14 @@ def evolve(
 
     The integrator covers at most one period T = 2K(k) of the generator,
     however long the grid: each state is U(tau mod T) U(T)^n psi0 (see
-    `_rotating_states`).  At k = 1 the drive is aperiodic and the whole
-    grid is integrated.  Everything after the integrator works on the
-    whole grid at once (one grid descent for the gauge factor, split real
-    and imaginary arithmetic for the products) and gives the same bits as
-    evaluating `gauge_factor` and the complex expressions sample by sample.
+    `_rotating_states`).  At k = 1 the drive is a single pulse: at
+    resonance it drops out and k = 0's period T = pi serves; off
+    resonance the integration stops at tau_c = ln(200 |D/w| / tol), and
+    later samples rotate about sigma_x in closed form.  Everything after
+    the integrator works on the whole grid at once (one grid descent for
+    the gauge factor, split real and imaginary arithmetic for the
+    products) and gives the same bits as evaluating `gauge_factor` and the
+    complex expressions sample by sample.
     """
     initial.require_normalized()
     taus = _validate_grid(tau_grid)

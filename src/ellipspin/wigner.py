@@ -62,11 +62,16 @@ def _check_j(j: float) -> float:
 
 
 def _check_projection(j: float, m: float, name: str) -> int:
-    """Row index round(j - m) of projection m, which must be valid for spin j."""
+    """Row index round(j - m) of projection m, which must be valid for spin j.
+
+    One rule decides: j - m within 1e-9 of an index from 0 to 2j.  An
+    offset outside (-1/2, 2j + 1/2), nan included, has no nearest index
+    and takes -1.
+    """
     m = float(m)
     offset = j - m
-    idx = round(offset)
-    if abs(offset - idx) > 1e-9 or m < -j - 1e-12 or m > j + 1e-12:
+    idx = round(offset) if -0.5 < offset < 2.0 * j + 0.5 else -1
+    if idx < 0 or abs(offset - idx) > 1e-9:
         raise DomainError(f"{name} = {m!r} is not a valid projection for j = {j!r}")
     return idx
 

@@ -318,6 +318,19 @@ class TestSimulate:
         table = parse_csv(proc.stdout)
         assert len(table) == 11 and np.all(np.isfinite(table["p_flip"]))
 
+    def test_pulse_limit_at_a_long_horizon(self, tmp_path):
+        # Integrated straight through, this run took about 4e7 rhs calls.
+        cfg = tmp_path / "pulse.cfg"
+        cfg.write_text(
+            "k = 1\nh_over_omega = 0.3\ndelta_over_omega = 0.2\ntau_max = 1e6\nn_samples = 3\n"
+        )
+        start = time.perf_counter()
+        proc = run_cli("simulate", str(cfg), timeout=60)
+        assert time.perf_counter() - start < 20.0
+        assert proc.returncode == 0, proc.stderr
+        table = parse_csv(proc.stdout)
+        assert len(table) == 3 and np.all(table["norm_drift"] <= 1e-9)
+
     def test_unknown_output_kind(self, tmp_path):
         cfg = tmp_path / "o.cfg"
         cfg.write_text(RESONANCE_CONFIG.replace("outputs = trajectory", "outputs = plots"))
@@ -479,6 +492,21 @@ class TestVerify:
         rc, err = run_in_process("verify", "heun")
         assert rc == 1
         assert "loop_composition" in err
+
+    def test_pulse_tail_is_checked_against_a_direct_path(self, monkeypatch):
+        rc, err = run_in_process("verify", "invariants")
+        assert rc == 0, err
+        # The closed-form tail started 15 earlier, while the pulse still
+        # turns the state by about 1e-6.
+        real = sd._pulse_end
+        monkeypatch.setattr(sd, "_pulse_end", lambda params, tol: real(params, tol) - 15.0)
+        rc, err = run_in_process("verify", "invariants")
+        assert rc == 1
+        assert "pulse_tail" in err
+        monkeypatch.undo()
+        proc = run_cli("verify", "all", "--tol", "0.1")
+        assert proc.returncode == 1
+        assert b"pulse_tail" in proc.stderr
 
     def test_non_unitary_propagator_is_a_failed_check(self):
         proc = run_cli("verify", "wigner", "--tol", "0.1")

@@ -236,21 +236,43 @@ def _column_power_times(col, m, v):
 def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
     """(lab, rot, p_flip, polarization) composed one sample at a time.
 
-    The same one-period integration `evolve` makes, then a scalar Python
+    The same bounded integration `evolve` makes, then a scalar Python
     loop: each state is U(r) U(T)^n psi0 for tau = n T + r, with the power
     carried forward across the gaps between successive n by the shared
     kernel `_power_times`, and the gauge factor and observables from the
-    complex expressions.  The reference for the bits of `evolve`'s array
-    arithmetic; `TestPowerKernel` pins the kernel itself.
+    complex expressions.  At k = 1 the resonant generator has no dn and
+    takes k = 0's period; off resonance every column past
+    tau_c = ln(200 |D/w| / tol) is the free rotation
+    cos(a s) - i sin(a s) sigma_x, s = tau - tau_c, of the column at tau_c.
+    The reference for the bits of `evolve`'s array arithmetic;
+    `TestPowerKernel` pins the kernel itself.
     """
-    period = 2.0 * quarter_period(params.k) if params.k < 1.0 else math.inf
+    k, d = params.k, params.delta_over_omega
+    tau_c = max(0.0, math.log(200.0 * abs(d) / tol)) if k == 1.0 and d != 0.0 else math.inf
+    if k == 1.0 and d == 0.0:
+        k = 0.0
+    period = 2.0 * quarter_period(k) if k < 1.0 else math.inf
     split = [divmod(tau, period) for tau in taus.tolist()]
     order = sorted(range(len(split)), key=lambda i: split[i][1])
-    grid = [split[i][1] for i in order] + ([period] if split[-1][0] > 0.0 else [])
+    grid = [split[i][1] for i in order if split[i][1] <= tau_c]
+    if split[-1][0] > 0.0:
+        grid.append(period)
+    elif split[-1][1] > tau_c:
+        grid.append(tau_c)
     cols = _dopri.integrate(sd._bind_rotating(params), (1.0 + 0j, 0j), grid, tol)
+    a_c, b_c = cols[-1]
     col_at = [None] * len(split)
     for j, i in enumerate(order):
-        col_at[i] = cols[j]
+        r = split[i][1]
+        if r <= tau_c:
+            col_at[i] = cols[j]
+        else:
+            turn = params.h_over_omega * (r - tau_c)
+            c, s = math.cos(turn), math.sin(turn)
+            col_at[i] = (
+                complex(c * a_c.real + s * b_c.imag, c * a_c.imag - s * b_c.real),
+                complex(c * b_c.real + s * a_c.imag, c * b_c.imag - s * a_c.real),
+            )
     n = len(taus)
     lab = np.empty((n, 2), dtype=complex)
     rot = np.empty((n, 2), dtype=complex)
@@ -467,6 +489,66 @@ class TestPeriodComposition:
             tracemalloc.stop()
         assert np.all(np.isfinite(traj.rot))
         assert peak < 4 * 2**20
+
+
+class TestPulseTail:
+    """At k = 1 `evolve` integrates until the pulse has passed, then rotates in closed form."""
+
+    TILTED = TestPeriodComposition.TILTED
+
+    @pytest.mark.parametrize("delta", [0.2, -0.5, 2.0])
+    def test_matches_direct_integration_across_pulse_end(self, delta):
+        p = SimParams.from_detuning(0.3, delta, 1.0)
+        tau_c = sd._pulse_end(p, sd.DEFAULT_TOL)
+        assert 20.0 < tau_c < 30.0
+        edge = [tau_c, np.nextafter(tau_c, math.inf), np.nextafter(tau_c, -math.inf)]
+        taus = np.unique(np.concatenate([np.linspace(0.0, tau_c + 30.0, 301), edge]))
+        traj = evolve(self.TILTED, p, taus)
+        assert np.max(np.abs(traj.rot - _direct(self.TILTED, p, taus))) < 1e-8
+
+    def test_grid_ending_at_pulse_end(self):
+        p = SimParams.from_detuning(0.3, 0.2, 1.0)
+        tau_c = sd._pulse_end(p, sd.DEFAULT_TOL)
+        for tau_max in (tau_c, np.nextafter(tau_c, math.inf), np.nextafter(tau_c, 0.0)):
+            taus = np.linspace(0.0, tau_max, 37)
+            traj = evolve(self.TILTED, p, taus)
+            assert np.max(np.abs(traj.rot - _direct(self.TILTED, p, taus))) < 1e-8
+
+    def test_weak_pulse_is_all_tail(self):
+        # 200 |D| < tol: tau_c = 0, and every sample past 0 is the free rotation.
+        p = SimParams.from_detuning(0.3, 1e-14, 1.0)
+        assert sd._pulse_end(p, sd.DEFAULT_TOL) == 0.0
+        taus = np.linspace(0.0, 40.0, 81)
+        traj = evolve(self.TILTED, p, taus)
+        assert np.max(np.abs(traj.rot - _direct(self.TILTED, p, taus))) < 1e-8
+
+    @pytest.mark.parametrize("delta", [0.2, 0.0])
+    def test_cost_does_not_grow_with_the_horizon(self, monkeypatch, delta):
+        # 333,655 rhs calls at tau 8000 when k = 1 was integrated straight through.
+        counts = _counting_rhs(monkeypatch)
+        p = SimParams.from_detuning(0.3, delta, 1.0)
+        per_horizon = []
+        for tau_max in (60.0, 8000.0):
+            counts["rhs"] = 0
+            evolve(spin_up(), p, np.linspace(0.0, tau_max, 241))
+            per_horizon.append(counts["rhs"])
+        assert 0 < per_horizon[0] == per_horizon[1]
+
+    def test_resonance_takes_the_circular_period(self):
+        # With no dn in the generator, k = 1 and k = 0 integrate the same
+        # system over the same period T = pi.
+        taus = np.linspace(0.0, 500.0, 241)
+        pulse = evolve(self.TILTED, SimParams.from_detuning(0.3, 0.0, 1.0), taus)
+        circular = evolve(self.TILTED, SimParams.from_detuning(0.3, 0.0, 0.0), taus)
+        assert same_bits(pulse.rot, circular.rot)
+        assert same_bits(pulse.p_flip, circular.p_flip)
+
+    @pytest.mark.parametrize("delta", [0.2, -0.5, 2.0])
+    def test_norm_drift_at_long_horizon(self, delta):
+        # 2.0e-8 when the whole grid was integrated.
+        p = SimParams.from_detuning(0.3, delta, 1.0)
+        traj = evolve(spin_up(), p, np.linspace(0.0, 800.0, 241))
+        assert np.max(traj.norm_drift) <= 2e-9
 
 
 def _assembled_propagator(tau, params, tol=sd.DEFAULT_TOL):
@@ -693,6 +775,9 @@ _TOL_ENTRIES = {
     "evolve": lambda tol: evolve(spin_up(), _DETUNED, [0.0, 1.0], tol=tol),
     "evolve_lab_frame": lambda tol: sd.evolve_lab_frame(spin_up(), _DETUNED, [0.0, 1.0], tol=tol),
     "propagator": lambda tol: propagator(1.0, _DETUNED, tol=tol),
+    "evolve_pulse": lambda tol: evolve(
+        spin_up(), SimParams.from_detuning(0.3, 0.2, 1.0), [0.0, 50.0], tol=tol
+    ),
     "probability_from_fundamental_pair": lambda tol: sd.probability_from_fundamental_pair(
         1.0, _DETUNED, spin_up(), _SPIN_DOWN, tol=tol
     ),

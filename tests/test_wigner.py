@@ -242,6 +242,30 @@ class TestTransitionProbability:
         with pytest.raises(DomainError):
             transition_probability_j(1.0, 0.5, 0.0, 0.3)
 
+    @pytest.mark.parametrize("nudge", [5e-10, -5e-10])
+    def test_one_projection_tolerance_at_both_ends(self, nudge):
+        # The index and the range are judged by the same 1e-9: once
+        # 5e-10 off 0 was accepted while 5e-10 past +-1 was rejected.
+        for m in (1.0, 0.0, -1.0):
+            exact = transition_probability_j(1.0, m, 0.0, 0.3)
+            assert transition_probability_j(1.0, m + nudge, 0.0, 0.3) == exact
+            assert transition_probability_j(1.0, 0.0, m + nudge, 0.3) == (
+                transition_probability_j(1.0, 0.0, m, 0.3)
+            )
+        for m in (1.0 + 2e-9, -1.0 - 2e-9, 2e-9):
+            with pytest.raises(DomainError):
+                transition_probability_j(1.0, m, 0.0, 0.3)
+            with pytest.raises(DomainError):
+                transition_probability_j(1.0, 0.0, m, 0.3)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_projection(self, m):
+        # nan used to end in ValueError and inf in OverflowError.
+        with pytest.raises(DomainError):
+            transition_probability_j(1.0, m, 0.0, 0.3)
+        with pytest.raises(DomainError):
+            transition_probability_j(1.0, 0.0, m, 0.3)
+
 
 class TestPipeline:
     def test_propagator_to_spin_half_probability(self):
