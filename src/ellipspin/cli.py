@@ -49,10 +49,6 @@ _OTHER_KEYS = (
 )
 _KNOWN_KEYS = set(_DIMENSIONLESS_KEYS) | set(_PHYSICAL_KEYS) | set(_OTHER_KEYS)
 
-# Smallest accepted integrator tolerance.  Below double roundoff the
-# error control can no longer be satisfied and shrinks the step until the
-# run crawls (tol = 1e-22 takes seconds at tau 2; 1e-23 runs for minutes).
-MIN_TOL = 1e-15
 # Budget for n_samples x runs, and for the rows of `elliptic-table`.  A
 # simulated sample holds about 200 bytes at the run's peak, while `evolve`
 # holds the integrator's states next to its per-sample arrays (from 20,001
@@ -189,8 +185,8 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
     if rows > MAX_ROWS:
         raise ConfigError(f"n_samples x runs = {rows:.6g} exceeds the budget of {MAX_ROWS} rows")
     tol = _parse_float(pairs, "tol", default=sd.DEFAULT_TOL)
-    if not (MIN_TOL <= tol <= 1e-4):
-        raise ConfigError(f"tol must lie in [{MIN_TOL:g}, 1e-4], got {tol!r}")
+    if not (sd.MIN_TOL <= tol <= 1e-4):
+        raise ConfigError(f"tol must lie in [{sd.MIN_TOL:g}, 1e-4], got {tol!r}")
     spin_j = _parse_float(pairs, "spin_j", default=0.5)
     if spin_j < 0 or abs(2 * spin_j - round(2 * spin_j)) > 1e-12 or spin_j > wigner.MAX_J:
         raise ConfigError(f"spin_j must be a half-integer in [0, {wigner.MAX_J}], got {spin_j!r}")
@@ -222,8 +218,11 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
         raise ConfigError(str(exc))
     # Checked before any output is written, after the modulus itself is
     # known to be valid.
-    if "heun_check" in outputs and not 0.0 < params.k < 1.0:
-        raise ConfigError("heun_check requires 0 < k < 1", line, col)
+    if "heun_check" in outputs:
+        try:
+            heun._require_open_modulus(params.k)
+        except DomainError as exc:
+            raise ConfigError(f"heun_check: {exc}", line, col)
     return Scenario(
         params=params,
         tau_max=tau_max,
@@ -474,9 +473,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args.config, args.output)
         if args.command == "verify":
-            if not (MIN_TOL <= args.tol < math.inf):
+            if not (sd.MIN_TOL <= args.tol < math.inf):
                 print(
-                    f"config error: tol must be finite and at least {MIN_TOL:g}, got {args.tol!r}",
+                    f"config error: tol must be finite and at least {sd.MIN_TOL:g}, got {args.tol!r}",
                     file=sys.stderr,
                 )
                 return EXIT_CONFIG

@@ -8,11 +8,9 @@ degenerate moduli are served by their closed forms: trigonometric at
 ``k = 0`` and hyperbolic at ``k = 1``, where the AGM scheme loses meaning.
 
 `jacobi` evaluates one argument.  `_jacobi_grid` runs the same descent
-over a whole float array for the sample-grid callers and returns the
-same bits: the arithmetic steps run in numpy, whose ``+ - * /``,
-``sqrt``, ``ldexp`` and ``clip`` round exactly as the scalar ones do,
-and the transcendental steps go through the ``math`` function element
-by element, since numpy's own versions may round differently.
+over a whole float array in numpy ufuncs for the sample-grid callers.
+numpy's transcendental functions may round differently from ``math``'s,
+so the two agree to a few units in the last place, not bit for bit.
 
 All functions are pure and safe for concurrent use.
 """
@@ -22,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -153,16 +150,13 @@ def jacobi(u: float, k: float) -> EllipticTriple:
     return EllipticTriple(sn=sn, cn=cn, dn=dn)
 
 
-def _elementwise(fn, x: np.ndarray, *args: float) -> np.ndarray:
-    """``fn(x_i, *args)`` for every element of a 1-d array, through ``math``."""
-    return np.fromiter(map(fn, x.tolist(), *map(repeat, args)), float, len(x))
-
-
 def _jacobi_grid(u: np.ndarray, k: float) -> EllipticTriple:
-    """`jacobi` over a 1-d float array: the same descent, bit for bit.
+    """`jacobi` over a 1-d float array: the same descent, step for step.
 
-    Each step is the scalar one applied to the whole array, in the same
-    order, so every element rounds exactly as `jacobi` rounds it.
+    numpy has no IEEE ``remainder``, so the argument is reduced by
+    ``fmod`` into (-4K, 4K) and then shifted by 4K into [-2K, 2K]; the
+    shift is exact (Sterbenz), so the reduced value is the one
+    ``math.remainder`` gives.
     """
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
@@ -170,27 +164,27 @@ def _jacobi_grid(u: np.ndarray, k: float) -> EllipticTriple:
     k = _check_modulus(k, allow_one=True)
 
     if k == 0.0:
-        return EllipticTriple(
-            sn=_elementwise(math.sin, u), cn=_elementwise(math.cos, u), dn=np.ones(len(u))
-        )
+        return EllipticTriple(sn=np.sin(u), cn=np.cos(u), dn=np.ones(len(u)))
     if k == 1.0:
-        tail = np.abs(u) >= _SECH_TAIL
-        sech = 1.0 / _elementwise(math.cosh, np.where(tail, 0.0, u))
-        e = _elementwise(math.exp, -np.abs(u[tail]))
-        sech[tail] = 2.0 * e / (1.0 + e * e)
-        return EllipticTriple(sn=_elementwise(math.tanh, u), cn=sech, dn=sech)
+        # `_sech`'s overflow-free tail form, on the whole grid: np.cosh
+        # overflows, with a RuntimeWarning, past |u| = 710.47.
+        e = np.exp(-np.abs(u))
+        sech = 2.0 * e / (1.0 + e * e)
+        return EllipticTriple(sn=np.tanh(u), cn=sech, dn=sech)
 
     a_list, c_list, big_k = _amplitude_tables(k)
-    u = _elementwise(math.remainder, u, 4.0 * big_k)
+    period = 4.0 * big_k
+    u = np.fmod(u, period)
+    u = np.where(u > 0.5 * period, u - period, np.where(u < -0.5 * period, u + period, u))
 
     n_top = len(a_list) - 1
     phi = np.ldexp(a_list[n_top] * u, n_top)
     for n in range(n_top, 0, -1):
-        s = np.clip(c_list[n] / a_list[n] * _elementwise(math.sin, phi), -1.0, 1.0)
-        phi = 0.5 * (phi + _elementwise(math.asin, s))
+        s = np.clip(c_list[n] / a_list[n] * np.sin(phi), -1.0, 1.0)
+        phi = 0.5 * (phi + np.arcsin(s))
 
-    sn = _elementwise(math.sin, phi)
-    cn = _elementwise(math.cos, phi)
+    sn = np.sin(phi)
+    cn = np.cos(phi)
     ksn, kcn = k * sn, k * cn
     dn = np.sqrt(
         np.where(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,9 +193,16 @@ def _validate_selection(selection: str) -> None:
 
 
 def _require_open_modulus(k: float) -> float:
+    """``k`` as a float, rejected with DomainError unless 0 < k < 1 and k^2 is normal.
+
+    Below about k = 1.49e-154, k^2 is subnormal or zero, and the singular
+    point 1/k^2 is no finite double.
+    """
     k = float(k)
-    if not (math.isfinite(k) and 0.0 < k < 1.0):
-        raise DomainError(f"this reduction requires 0 < k < 1, got {k!r}")
+    if not (math.isfinite(k) and 0.0 < k < 1.0 and k * k >= sys.float_info.min):
+        raise DomainError(
+            f"this reduction requires 0 < k < 1 and k^2 >= {sys.float_info.min!r}, got {k!r}"
+        )
     return k
 
 
@@ -571,11 +579,17 @@ def continue_along_path(
 
             c1, c2 = _taylor_coefficients(data, zc, v1, dv1, v2, dv2, n_terms)
 
-            # Convergence guard: the trailing terms must be negligible at zeta.
+            # Convergence guard: the trailing terms must be negligible at
+            # zeta.  Their sum (|c_N| r + |c_N-1|) r^(N-1), r = |zeta|, is
+            # formed through logarithms, because r^n alone overflows on the
+            # long steps taken at tiny k; a sum that would overflow is
+            # capped far above the bound, and a nan fails it.
             scale = max(abs(v1), abs(dv1), abs(v2), abs(dv2), 1e-300)
-            tail = (abs(c1[-1]) + abs(c2[-1])) * abs(zeta) ** (n_terms - 1)
-            tail += (abs(c1[-2]) + abs(c2[-2])) * abs(zeta) ** (n_terms - 2)
-            if tail > 1e-9 * scale:
+            r = abs(zeta)
+            head = (abs(c1[-1]) + abs(c2[-1])) * r + abs(c1[-2]) + abs(c2[-2])
+            log_tail = math.log(head) + (n_terms - 2) * math.log(r) if head else -math.inf
+            tail = math.exp(min(log_tail, 709.0))
+            if not tail <= 1e-9 * scale:
                 raise StepError(
                     f"series step from {zc!r} to {znext!r} did not converge "
                     f"(tail {tail!r} vs scale {scale!r})"

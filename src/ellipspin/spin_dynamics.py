@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _dopri
-from .elliptic import EllipticTriple, _elementwise, _jacobi_grid, jacobi, quarter_period
+from .elliptic import EllipticTriple, _jacobi_grid, jacobi, quarter_period
 from .errors import DomainError
 
 # CODATA 2018: Bohr magneton [J/T] and reduced Planck constant [J s].
@@ -32,6 +32,10 @@ BOHR_MAGNETON = 9.2740100783e-24
 HBAR = 1.054571817e-34
 
 DEFAULT_TOL = 1e-10
+# Smallest accepted integrator tolerance.  Below double roundoff the
+# error control can no longer be satisfied and shrinks the step until the
+# run crawls (tol = 1e-22 takes seconds at tau 2; 1e-23 runs for minutes).
+MIN_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,9 @@ def derive_parameters(
     """
     if not (omega > 0.0 and math.isfinite(omega)):
         raise DomainError(f"omega must be positive and finite, got {omega!r}")
-    scale = g * BOHR_MAGNETON / (2.0 * HBAR * omega)
+    # omega divides last: 2 hbar omega underflows to 0 for tiny omega,
+    # while this order overflows to inf, which SimParams rejects.
+    scale = g * BOHR_MAGNETON / (2.0 * HBAR) / omega
     return SimParams(h_over_omega=scale * h0_tesla, H_over_omega=scale * H0_tesla, k=k)
 
 
@@ -168,12 +174,11 @@ def gauge_factor(tau: float, k: float) -> complex:
     points where cn = -1 the value jumps between +i and -i; the jump is a
     pure gauge phase and cancels in every probability.
     """
-    re, im = _gauge_factor_grid(np.array([float(tau)]), k)
-    return complex(re[0], im[0])
+    return complex(_gauge_factor_grid(np.array([float(tau)]), k)[0])
 
 
-def _gauge_factor_grid(taus: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of `gauge_factor` over a grid.
+def _gauge_factor_grid(taus: np.ndarray, k: float) -> np.ndarray:
+    """`gauge_factor` over a grid, as a complex array.
 
     1 -+ cn loses precision where cn is near +-1; the identity
     1 -+ cn = sn^2 / (1 +- cn) evaluates the same radicals stably.  Both
@@ -187,7 +192,9 @@ def _gauge_factor_grid(taus: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarr
     near = 0.5 * one_plus_abs_cn
     far = 0.5 * sn * sn / one_plus_abs_cn
     im = np.sqrt(np.where(pos, far, near))
-    return np.sqrt(np.where(pos, near, far)), np.where(sn < 0.0, im, -im)
+    f = np.empty(len(taus), dtype=complex)
+    f.real, f.imag = np.sqrt(np.where(pos, near, far)), np.where(sn < 0.0, im, -im)
+    return f
 
 
 def rotating_rhs(
@@ -240,21 +247,6 @@ def _validate_grid(tau_grid: Sequence[float]) -> np.ndarray:
     return taus
 
 
-def _cmul(ar, ai, br, bi):
-    """(a * b).real, (a * b).imag from split parts, rounded as Python's complex product."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _abs_squared(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """``abs(complex(re, im)) ** 2`` elementwise, bit for bit.
-
-    Both steps call libm as the scalar expression does: ``np.hypot`` is
-    libm's ``hypot``, and the square goes through ``pow`` (numpy would
-    turn ``** 2`` into a multiplication, which can round differently).
-    """
-    return _elementwise(math.pow, np.hypot(re, im), 2.0)
-
-
 def pauli_expectation(
     psi1: complex | np.ndarray, psi2: complex | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -264,13 +256,13 @@ def pauli_expectation(
     the sign of py follows the standard Pauli sigma_y convention.  The
     amplitudes are complex numbers or equal-length 1-d complex arrays, and
     each component comes back as an array of that length (one element for
-    numbers), rounded exactly as the scalar complex expressions round.
+    numbers).
     """
     psi1 = np.atleast_1d(np.asarray(psi1, dtype=complex))
     psi2 = np.atleast_1d(np.asarray(psi2, dtype=complex))
-    r1, i1, r2, i2 = psi1.real, psi1.imag, psi2.real, psi2.imag
-    cross_re, cross_im = _cmul(r1, -i1, r2, i2)
-    return (2.0 * cross_re, 2.0 * cross_im, _abs_squared(r1, i1) - _abs_squared(r2, i2))
+    cross = psi1.conj() * psi2
+    pz = np.hypot(psi1.real, psi1.imag) ** 2 - np.hypot(psi2.real, psi2.imag) ** 2
+    return (2.0 * cross.real, 2.0 * cross.imag, pz)
 
 
 _Matrix2 = tuple[complex, complex, complex, complex]
@@ -319,17 +311,12 @@ def _pulse_end(params: SimParams, tol: float) -> float:
 def _free_rotation(a: float, s: np.ndarray, col: tuple[complex, complex]) -> np.ndarray:
     """exp(-i a s sigma_x) (c1, c2) for every element of ``s``, as an (n, 2) array.
 
-    The rotation is cos(a s) I - i sin(a s) sigma_x.  cos and sin go
-    through `math` element by element, and the products are written out
-    in real and imaginary parts.
+    The rotation is cos(a s) I - i sin(a s) sigma_x.
     """
     turn = a * s
-    c, sn = _elementwise(math.cos, turn), _elementwise(math.sin, turn)
-    (ar, ai), (br, bi) = [(z.real, z.imag) for z in col]
-    out = np.empty((len(s), 2), dtype=complex)
-    out.real[:, 0], out.imag[:, 0] = c * ar + sn * bi, c * ai - sn * br
-    out.real[:, 1], out.imag[:, 1] = c * br + sn * ai, c * bi - sn * ar
-    return out
+    c, minus_i_sin = np.cos(turn), -1j * np.sin(turn)
+    c1, c2 = col
+    return np.column_stack([c * c1 + minus_i_sin * c2, c * c2 + minus_i_sin * c1])
 
 
 def _rotating_states(
@@ -355,8 +342,7 @@ def _rotating_states(
     Nothing is renormalized.
 
     ``taus`` is non-decreasing and starts at 0.  Returns an (n, 2)
-    complex array; the per-sample products use split real/imaginary
-    arithmetic, bit for bit the Python complex expressions.
+    complex array.
     """
     k = 0.0 if params.k == 1.0 and params.delta_over_omega == 0.0 else params.k
     period = 2.0 * quarter_period(k) if k < 1.0 else math.inf
@@ -407,17 +393,11 @@ def _rotating_states(
     out[order] = sorted_cols
     del sorted_cols, order
     runs = np.repeat(np.array(runs, dtype=complex), counts, axis=0)
-    ar, ai, br, bi = out.real[:, 0], out.imag[:, 0], out.real[:, 1], out.imag[:, 1]
-    v1r, v1i, v2r, v2i = runs.real[:, 0], runs.imag[:, 0], runs.real[:, 1], runs.imag[:, 1]
-    # psi1 = a v1 - conj(b) v2 and psi2 = b v1 + conj(a) v2.
-    x1r, x1i = _cmul(ar, ai, v1r, v1i)
-    y1r, y1i = _cmul(br, -bi, v2r, v2i)
-    x1r -= y1r
-    x1i -= y1i
-    x2r, x2i = _cmul(br, bi, v1r, v1i)
-    y2r, y2i = _cmul(ar, -ai, v2r, v2i)
-    out.real[:, 1], out.imag[:, 1] = x2r + y2r, x2i + y2i
-    out.real[:, 0], out.imag[:, 0] = x1r, x1i
+    a, b, v1, v2 = out[:, 0], out[:, 1], runs[:, 0], runs[:, 1]
+    # psi1 = a v1 - conj(b) v2 and psi2 = b v1 + conj(a) v2, in place.
+    psi2 = b * v1 + a.conj() * v2
+    out[:, 0] = a * v1 - b.conj() * v2
+    out[:, 1] = psi2
     return out
 
 
@@ -441,22 +421,19 @@ def evolve(
     resonance it drops out and k = 0's period T = pi serves; off
     resonance the integration stops at tau_c = ln(200 |D/w| / tol), and
     later samples rotate about sigma_x in closed form.  Everything after
-    the integrator works on the whole grid at once (one grid descent for
-    the gauge factor, split real and imaginary arithmetic for the
-    products) and gives the same bits as evaluating `gauge_factor` and the
-    complex expressions sample by sample.
+    the integrator works on the whole grid at once, with one grid descent
+    for the gauge factor.
     """
     initial.require_normalized()
     taus = _validate_grid(tau_grid)
 
     rot = _rotating_states(params, (initial.psi1, initial.psi2), taus, tol)
-    # Split real/imaginary arithmetic: numpy's complex multiply and abs
-    # round differently from Python's in the last bit.
-    fr, fi = _gauge_factor_grid(taus, params.k)
-    lab = np.empty_like(rot)
-    lab.real[:, 0], lab.imag[:, 0] = _cmul(fr, fi, rot.real[:, 0], rot.imag[:, 0])
-    lab.real[:, 1], lab.imag[:, 1] = _cmul(fr, -fi, rot.real[:, 1], rot.imag[:, 1])
-    p_flip = _abs_squared(rot.real[:, 1], rot.imag[:, 1])
+    f = _gauge_factor_grid(taus, params.k)
+    lab = np.column_stack([f * rot[:, 0], f.conj() * rot[:, 1]])
+    del f
+    # Moduli through np.hypot, libm's nearly correctly rounded hypot;
+    # np.abs of a complex array is off by an ulp on about a third of inputs.
+    p_flip = np.hypot(rot[:, 1].real, rot[:, 1].imag) ** 2
     pol = np.column_stack(pauli_expectation(lab[:, 0], lab[:, 1]))
     return Trajectory(taus=taus, lab=lab, rot=rot, p_flip=p_flip, polarization=pol)
 
@@ -491,14 +468,17 @@ def propagator(tau: float, params: SimParams, tol: float = DEFAULT_TOL) -> Propa
     That state is the first column (a, b); the generator is traceless
     Hermitian, so the second column is (-conj(b), conj(a)) exactly.
 
-    The result is unitary within about ``tol`` at any horizon and drive.
     At a fixed local tolerance the unitarity defect grows by about that
     tolerance per radian the state turns through, and the rotating-frame
     rhs turns it at most at the Rabi rate.  So the column is computed at
-    ``tol / max(1, tau * rabi_over_omega)``.
+    ``tol / max(1, tau * rabi_over_omega)``, floored at `MIN_TOL`, below
+    which the error control cannot be met.  The result is unitary within
+    about ``tol`` while ``tau * rabi_over_omega <= tol / MIN_TOL`` (1e5 at
+    the default tol); past that the defect grows by about `MIN_TOL` per
+    radian (2e-4 at tau = 1e12 for h/w 0.3, D/w 0.15, k 0.7).
     """
     tau = require_tau(tau)
-    local_tol = tol / max(1.0, tau * params.rabi_over_omega)
+    local_tol = min(tol, max(MIN_TOL, tol / max(1.0, tau * params.rabi_over_omega)))
     grid = [0.0, tau] if tau > 0.0 else [0.0]
     a, b = evolve(SPIN_UP, params, grid, local_tol).lab[-1].tolist()
     return Propagator(u11=a, u12=-b.conjugate(), u21=b, u22=a.conjugate())

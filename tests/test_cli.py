@@ -15,9 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 import ellipspin.spin_dynamics as sd
 from ellipspin import cli
-from ellipspin.elliptic import jacobi, jacobi_identity_residuals
+from ellipspin.elliptic import _jacobi_grid, jacobi, jacobi_identity_residuals
 
 HEADER = "tau,re_psi1,im_psi1,re_psi2,im_psi2,p_flip,px,py,pz,norm_drift"
+# Largest deviation allowed between a per-sample array and its scalar
+# reference (numpy's and math's transcendentals may differ by an ulp).
+GRID_BOUND = 1e-14
 
 RESONANCE_CONFIG = """\
 # fundamental resonance scenario
@@ -167,6 +170,20 @@ class TestSimulate:
         expected = np.sin(params.h_over_omega * table["tau"]) ** 2
         assert np.max(np.abs(table["p_flip"] - expected)) < 1e-8
 
+    @pytest.mark.parametrize("omega", ["1e-300", "5e-324"])
+    def test_tiny_physical_omega_is_a_config_error(self, tmp_path, omega):
+        # The field scale used to divide by an underflowed 2 hbar omega and
+        # end in a ZeroDivisionError traceback.
+        cfg = tmp_path / "phys.cfg"
+        cfg.write_text(
+            "k = 0.7\ng = 2.0\nh0_tesla = 1e-3\nH0_tesla = 1e-3\n"
+            f"omega_rad_per_s = {omega}\ntau_max = 10.0\nn_samples = 101\n"
+        )
+        proc = run_cli("simulate", str(cfg))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"config error: h_over_omega must be finite, got inf\n"
+
     def test_dimensionless_precedence_warns(self, tmp_path):
         cfg = tmp_path / "both.cfg"
         cfg.write_text(
@@ -222,8 +239,22 @@ class TestSimulate:
         assert err.startswith("runtime failure in reduction cross-check")
         assert err.count("\n") == 1
 
+    def test_heun_check_at_tiny_modulus(self, tmp_path):
+        # k = 1e-8 ended in an OverflowError traceback in the series guard.
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text(
+            RESONANCE_CONFIG.replace("outputs = trajectory", "outputs = trajectory,heun_check")
+            .replace("k = 0.7", "k = 1e-8")
+            .replace("delta_over_omega = 0.0", "delta_over_omega = 0.15")
+            .replace("tau_max = 10.0", "tau_max = 2.0")
+        )
+        proc = run_cli("simulate", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        diff = float(proc.stderr.decode().split("diff=")[1].split()[0])
+        assert diff < 1e-9
+
     @pytest.mark.parametrize("to_file", [False, True])
-    @pytest.mark.parametrize("k", ["0.0", "1.0"])
+    @pytest.mark.parametrize("k", ["0.0", "1.0", "1e-300"])
     def test_heun_check_outside_open_modulus_is_a_config_error(self, tmp_path, k, to_file):
         # Refused before any output: the CSV used to be written in full
         # first, and only then the run exited 2.
@@ -237,7 +268,10 @@ class TestSimulate:
         proc = run_cli("simulate", str(cfg), *(["-o", str(out)] if to_file else []))
         assert proc.returncode == 2
         assert proc.stdout == b""
-        assert proc.stderr == b"config error: heun_check requires 0 < k < 1 (line 13, column 11)\n"
+        assert proc.stderr == (
+            b"config error: heun_check: this reduction requires 0 < k < 1 and "
+            b"k^2 >= 2.2250738585072014e-308, got " + k.encode() + b" (line 13, column 11)\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("k", ["1.4", "-0.2"])
@@ -627,11 +661,12 @@ class TestCsvBytes:
     def test_elliptic_table(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run_in_process("elliptic-table", "0.7", "20", "2001", "-o", str(out))[0] == 0
-        rows = []
-        for u in np.linspace(0.0, 20.0, 2001):
-            trip = jacobi(float(u), 0.7)
-            rows.append((u, trip.sn, trip.cn, trip.dn, *jacobi_identity_residuals(trip, 0.7)))
-        assert out.read_text() == csv_text("u,sn,cn,dn,res_sncn,res_dnsn", rows)
+        u = np.linspace(0.0, 20.0, 2001)
+        grid = _jacobi_grid(u, 0.7)
+        columns = (u, grid.sn, grid.cn, grid.dn, *jacobi_identity_residuals(grid, 0.7))
+        assert out.read_text() == csv_text("u,sn,cn,dn,res_sncn,res_dnsn", zip(*columns))
+        scalar = np.array([jacobi(x, 0.7).as_tuple() for x in u.tolist()])
+        assert np.max(np.abs(np.column_stack(columns[1:4]) - scalar)) <= GRID_BOUND
 
     def test_simulate_never_buffers_the_whole_file(self, tmp_path):
         # Peak traced allocation of this 20,001-sample run: 3.7 MiB when

@@ -188,16 +188,25 @@ class TestJacobi:
         assert r2 < 1e-12
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+# Largest deviation allowed between a per-sample array and its scalar
+# reference: numpy's sin, arcsin, cos, tanh and exp may round differently
+# from math's, by about an ulp per step of the descent.
+GRID_BOUND = 1e-14
+
+
+def largest_gap(grid, scalar) -> float:
+    """max |grid - scalar| over sn, cn and dn; ``scalar`` is a list of triples."""
+    return max(
+        float(np.max(np.abs(np.asarray(getattr(grid, name)) - [getattr(t, name) for t in scalar])))
+        for name in ("sn", "cn", "dn")
+    )
 
 
 class TestJacobiGrid:
-    """The grid descent returns the scalar descent's bits, element by element."""
+    """The grid descent agrees with the scalar descent, element by element."""
 
     @pytest.mark.parametrize("k", [0.0, 1e-8, 0.3, 0.7, 0.999, 1.0 - 1e-12, 1.0])
-    def test_bit_identical_to_scalar(self, k):
+    def test_agrees_with_scalar(self, k):
         rng = np.random.default_rng(7)
         parts = [rng.uniform(-200.0, 200.0, 4000), [0.0, -0.0, 200.0, -200.0, 1e-300]]
         # Past |u| = 710.47 cosh overflows; the k = 1 sech switches form at 710.
@@ -211,18 +220,30 @@ class TestJacobiGrid:
             parts += [m * big_k, m * (2.0 * big_k), m * (4.0 * big_k)]
             parts += [np.nextafter(m * big_k, math.inf), np.nextafter(m * big_k, -math.inf)]
         u = np.concatenate(parts)
-        grid = _jacobi_grid(u, k)
-        scalar = [jacobi(x, k) for x in u.tolist()]
-        assert same_bits(grid.sn, [t.sn for t in scalar])
-        assert same_bits(grid.cn, [t.cn for t in scalar])
-        assert same_bits(grid.dn, [t.dn for t in scalar])
+        assert largest_gap(_jacobi_grid(u, k), [jacobi(x, k) for x in u.tolist()]) <= GRID_BOUND
+
+    @given(
+        u=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=20),
+        k=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_scalar_property(self, u, k):
+        # As k -> 1 the last descent step takes asin of values within
+        # 1 - c1/a1 ~ 2 k' of +-1, k' = sqrt(1 - k^2), and magnifies one
+        # rounding of sin by up to 1 / sqrt(4 k'); the scalar descent carries
+        # that error too.  At k = 1 - 1.9e-15, u = 855.52 its cn is 7.0e-14
+        # from mpmath, the grid's 6.7e-15.
+        kp = math.sqrt((1.0 - k) * (1.0 + k))
+        bound = GRID_BOUND + (2.2e-16 / math.sqrt(kp) if kp > 0.0 else 0.0)
+        grid = _jacobi_grid(np.array(u), k)
+        assert largest_gap(grid, [jacobi(x, k) for x in u]) <= bound
 
     def test_identity_residuals_elementwise(self):
         u = np.linspace(-5.0, 5.0, 41)
         r1, r2 = jacobi_identity_residuals(_jacobi_grid(u, 0.7), 0.7)
         scalar = [jacobi_identity_residuals(jacobi(x, 0.7), 0.7) for x in u.tolist()]
-        assert same_bits(r1, [r[0] for r in scalar])
-        assert same_bits(r2, [r[1] for r in scalar])
+        assert np.max(np.abs(r1 - [r[0] for r in scalar])) <= GRID_BOUND
+        assert np.max(np.abs(r2 - [r[1] for r in scalar])) <= GRID_BOUND
 
     @pytest.mark.parametrize("bad_u", [math.nan, math.inf, -math.inf])
     def test_nonfinite_argument_rejected(self, bad_u):

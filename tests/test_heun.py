@@ -508,6 +508,26 @@ class TestFlipProbability:
         with pytest.raises(DomainError):
             heun.flip_probability_heun(1.0, SimParams.from_detuning(0.2, 0.1, 0.0))
 
+    @pytest.mark.parametrize("k", [1.4e-154, 1e-300, 5e-324])
+    def test_rejects_modulus_whose_square_underflows(self, k):
+        # k * k underflowed, and the accessory parameter divided by zero.
+        with pytest.raises(DomainError):
+            heun.flip_probability_heun(2.0, SimParams.from_detuning(0.3, 0.15, k))
+
+    @pytest.mark.parametrize("k", [1e-8, 1e-20])
+    def test_tiny_modulus_matches_ode(self, k):
+        # The steps are so long here that |zeta|^n overflowed in the
+        # series convergence guard; k = 1e-7 already agreed to 1e-10.
+        p = SimParams.from_detuning(0.3, 0.15, k)
+        direct = float(evolve(spin_up(), p, [0.0, 2.0]).p_flip[-1])
+        assert abs(heun.flip_probability_heun(2.0, p) - direct) < 1e-9
+
+    def test_modulus_too_small_for_the_series_fails_cleanly(self):
+        # The coordinate reaches 1e100, its cube overflows in the series
+        # coefficients, and the convergence guard must catch the nan.
+        with pytest.raises(StepError, match="did not converge"):
+            heun.flip_probability_heun(2.0, SimParams.from_detuning(0.3, 0.15, 1e-100))
+
     # Long paths wind the coordinate round the singular points many times,
     # so the principal logs of Z - s cross their cuts again and again; the
     # prefactor enters only by its modulus, which no cut changes.

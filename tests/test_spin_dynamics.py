@@ -32,6 +32,11 @@ from ellipspin import (
 # h/omega = (g/2) * (mu_B/hbar) * h0 / omega.
 HAND_H_OVER_OMEGA = 8.7941000595e10 * 1e-3 / 1e9
 
+# Largest deviation allowed between a per-sample array and its scalar
+# reference: numpy's transcendental functions and complex products may
+# round differently from math's and Python's, by about an ulp per step.
+GRID_BOUND = 1e-14
+
 
 def spin_up() -> SpinState:
     return SpinState(1.0 + 0j, 0.0j)
@@ -57,6 +62,13 @@ class TestDeriveParameters:
     @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan])
     def test_rejects_bad_omega(self, omega):
         with pytest.raises(DomainError):
+            derive_parameters(2.0, 1e-3, 1e-3, omega)
+
+    @pytest.mark.parametrize("omega", [1e-300, 5e-324])
+    def test_tiny_omega_overflows_to_a_domain_error(self, omega):
+        # 2 hbar omega used to underflow to 0, and the division raised
+        # ZeroDivisionError.
+        with pytest.raises(DomainError, match="must be finite"):
             derive_parameters(2.0, 1e-3, 1e-3, omega)
 
 
@@ -89,8 +101,8 @@ class TestDriveField:
         p = SimParams.from_detuning(0.4, -0.2, 0.7)
         taus = np.linspace(-30.0, 30.0, 201)
         grid = sd._lab_field(_jacobi_grid(taus, p.k), p)
-        for i, tau in enumerate(taus.tolist()):
-            assert tuple(c[i] for c in grid) == sd._lab_field(jacobi(tau, p.k), p)
+        scalar = np.array([sd._lab_field(jacobi(tau, p.k), p) for tau in taus.tolist()])
+        assert np.max(np.abs(np.column_stack(grid) - scalar)) <= GRID_BOUND
 
     def test_rotating_constant_at_resonance(self):
         for k in (0.0, 0.5, 0.99):
@@ -244,8 +256,8 @@ def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
     takes k = 0's period; off resonance every column past
     tau_c = ln(200 |D/w| / tol) is the free rotation
     cos(a s) - i sin(a s) sigma_x, s = tau - tau_c, of the column at tau_c.
-    The reference for the bits of `evolve`'s array arithmetic;
-    `TestPowerKernel` pins the kernel itself.
+    The reference for `evolve`'s array arithmetic; `TestPowerKernel` pins
+    the kernel itself.
     """
     k, d = params.k, params.delta_over_omega
     tau_c = max(0.0, math.log(200.0 * abs(d) / tol)) if k == 1.0 and d != 0.0 else math.inf
@@ -340,12 +352,16 @@ class TestPowerKernel:
                 self._check(a, b, (1.0 + 0j, 0j), m)
 
 
+def largest_gap(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
 class TestEvolveOnWholeGrid:
-    """`evolve` post-processes its grid as arrays and keeps the scalar bits."""
+    """`evolve` post-processes its grid as arrays and agrees with the scalar loop."""
 
     @pytest.mark.parametrize("k", [0.0, 0.64, 0.999, 1.0])
     @pytest.mark.parametrize("delta", [0.0, 0.2])
-    def test_bit_identical_to_scalar_loop(self, k, delta):
+    def test_agrees_with_scalar_loop(self, k, delta):
         p = SimParams.from_detuning(0.3, delta, k)
         tilted = SpinState(complex(0.6, 0.1), complex(-0.2, 0.768114574786861))
         cases = [(spin_up(), 14.0, n) for n in (1, 2, 241, 20001)]
@@ -353,20 +369,17 @@ class TestEvolveOnWholeGrid:
         for initial, tau_max, n in cases:
             taus = np.linspace(0.0, tau_max, n)
             traj = evolve(initial, p, taus)
-            lab, rot, p_flip, pol = _scalar_evolve(initial, p, taus)
-            assert same_bits(traj.lab, lab), (tau_max, n)
-            assert same_bits(traj.rot, rot), (tau_max, n)
-            assert same_bits(traj.p_flip, p_flip), (tau_max, n)
-            assert same_bits(traj.polarization, pol), (tau_max, n)
+            want = _scalar_evolve(initial, p, taus)
+            got = (traj.lab, traj.rot, traj.p_flip, traj.polarization)
+            for name, x, y in zip(("lab", "rot", "p_flip", "polarization"), got, want):
+                assert largest_gap(x, y) <= GRID_BOUND, (name, tau_max, n)
 
     def test_gauge_factor_grid_matches_scalar(self):
         rng = np.random.default_rng(3)
         taus = np.concatenate([rng.uniform(-60.0, 60.0, 2000), [0.0, 2.0 * quarter_period(0.7)]])
         for k in (0.0, 0.7, 1.0):
-            re, im = sd._gauge_factor_grid(taus, k)
             scalar = [_half_angle_gauge_factor(t, k) for t in taus.tolist()]
-            assert same_bits(re, np.array([f.real for f in scalar]))
-            assert same_bits(im, np.array([f.imag for f in scalar]))
+            assert largest_gap(sd._gauge_factor_grid(taus, k), scalar) <= GRID_BOUND
 
     def test_scalar_gauge_factor_matches_half_angle_form(self):
         rng = np.random.default_rng(29)
@@ -374,7 +387,7 @@ class TestEvolveOnWholeGrid:
             k = float(rng.choice([0.0, rng.uniform(0.0, 1.0), 1.0]))
             tau = float(rng.uniform(-800.0, 800.0))
             got, want = gauge_factor(tau, k), _half_angle_gauge_factor(tau, k)
-            assert same_bits(np.array([got]), np.array([want])), (tau, k)
+            assert abs(got - want) <= GRID_BOUND, (tau, k)
 
     def test_pauli_expectation_number_and_array_agree(self):
         rng = np.random.default_rng(5)
@@ -567,16 +580,14 @@ def _assembled_propagator(tau, params, tol=sd.DEFAULT_TOL):
 
 
 class TestPropagator:
-    def test_bit_identical_to_scalar_assembly(self):
-        # Up to the sign of zero entries (adding 0.0 folds -0.0 into +0.0):
-        # at tau = 0 the two assemblies round exact zeros to opposite signs.
+    def test_agrees_with_scalar_assembly(self):
         rng = np.random.default_rng(17)
         for i in range(24):
             k = (0.0, float(rng.uniform(0.0, 1.0)), 1.0)[i % 3]
             p = SimParams.from_detuning(float(rng.uniform(0.05, 2.0)), float(rng.uniform(-1.0, 1.0)), k)
             tau = 0.0 if i < 3 else float(rng.uniform(0.0, 60.0))
-            got = propagator(tau, p).as_matrix() + 0.0
-            assert same_bits(got, _assembled_propagator(tau, p) + 0.0), (p, tau)
+            got = propagator(tau, p).as_matrix()
+            assert largest_gap(got, _assembled_propagator(tau, p)) <= GRID_BOUND, (p, tau)
 
     def test_identity_at_origin(self):
         p = SimParams.from_detuning(0.2, 0.1, 0.5)
@@ -607,6 +618,19 @@ class TestPropagator:
             assert u.unitarity_defect() < 1e-9
             det = u.u11 * u.u22 - u.u12 * u.u21
             assert abs(abs(det) - 1.0) < 1e-9
+
+    def test_tolerance_floor_bounds_the_cost(self, monkeypatch):
+        # Without the floor at MIN_TOL the local tolerance kept shrinking
+        # with the horizon: tau = 1e13 took 15 s, and the defect at 1e12
+        # reached 5e-3.
+        counts = _counting_rhs(monkeypatch)
+        p = SimParams.from_detuning(0.3, 0.15, 0.7)
+        per_horizon = []
+        for tau in (1e8, 1e13):
+            counts["rhs"] = 0
+            propagator(tau, p)
+            per_horizon.append(counts["rhs"])
+        assert 0 < per_horizon[0] == per_horizon[1]
 
     def test_unitary_at_far_corner_of_verify_range(self):
         # Strongest drive and longest horizon the verify suite draws; at a
