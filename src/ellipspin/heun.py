@@ -656,7 +656,36 @@ def coordinate_path(
     return out
 
 
-def _solution_rows(cont: Continuation) -> sd._Matrix2:
+_Matrix2 = tuple[complex, complex, complex, complex]
+
+
+def _mat_mul(x: _Matrix2, y: _Matrix2) -> _Matrix2:
+    """Product of two row-major 2 x 2 complex matrices."""
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _power_times(m: _Matrix2, n: int, x: _Matrix2) -> _Matrix2:
+    """m^n x for row-major 2 x 2 matrices, by binary powering.
+
+    One squaring per bit of ``n``, so a power costs O(log n) products.
+    Every factor taken on the left is a power of m, so the factors
+    commute and their order does not matter.
+    """
+    while n:
+        if n & 1:
+            x = _mat_mul(m, x)
+        n >>= 1
+        if n:
+            m = _mat_mul(m, m)
+    return x
+
+
+def _solution_rows(cont: Continuation) -> _Matrix2:
     """[[v1, v1'], [v2, v2']] of a continuation: the transposed fundamental matrix."""
     return (cont.v1, cont.dv1, cont.v2, cont.dv2)
 
@@ -704,7 +733,7 @@ def flip_probability_heun(
         )
         # F (G F)^n transposed is (f g)^n f, with f and g the transposes
         # of F and G.  Every product rounds as its transpose does.
-        total = sd._power_times(sd._mat_mul(f, g), n, f)
+        total = _power_times(_mat_mul(f, g), n, f)
         # Liouville: |det| at the end of the path is the Wronskian's
         # closed-form modulus, which has no branch (the exponents are real).
         expected = math.prod(

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _dopri
 from .elliptic import EllipticTriple, _jacobi_grid, jacobi, quarter_period
-from .errors import DomainError
+from .errors import DomainError, IntegrationError
 
 # CODATA 2018: Bohr magneton [J/T] and reduced Planck constant [J s].
 BOHR_MAGNETON = 9.2740100783e-24
@@ -111,7 +111,10 @@ class Trajectory:
 
     @property
     def norm_drift(self) -> np.ndarray:
-        """|norm^2 - 1| per sample; an accuracy diagnostic, never corrected."""
+        """|norm^2 - 1| per sample; an accuracy diagnostic, never corrected.
+
+        It is that of the one integrated stretch, not growing with the horizon.
+        """
         n = np.abs(self.rot[:, 0]) ** 2 + np.abs(self.rot[:, 1]) ** 2
         return np.abs(n - 1.0)
 
@@ -265,33 +268,11 @@ def pauli_expectation(
     return (2.0 * cross.real, 2.0 * cross.imag, pz)
 
 
-_Matrix2 = tuple[complex, complex, complex, complex]
-
-
-def _mat_mul(x: _Matrix2, y: _Matrix2) -> _Matrix2:
-    """Product of two row-major 2 x 2 complex matrices."""
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
-def _power_times(m: _Matrix2, n: int, x: _Matrix2) -> _Matrix2:
-    """m^n x for row-major 2 x 2 matrices, by binary powering.
-
-    One squaring per bit of ``n``, so a power costs O(log n) products.
-    Every factor taken on the left is a power of m, so the factors
-    commute and their order does not matter.
-    """
-    while n:
-        if n & 1:
-            x = _mat_mul(m, x)
-        n >>= 1
-        if n:
-            m = _mat_mul(m, m)
-    return x
+def _period(params: SimParams) -> float:
+    """The generator's period 2K(k); pi at k = 1 resonance, where dn drops out; else inf."""
+    if params.k == 1.0:
+        return math.pi if params.delta_over_omega == 0.0 else math.inf
+    return 2.0 * quarter_period(params.k)
 
 
 def _pulse_end(params: SimParams, tol: float) -> float:
@@ -308,15 +289,17 @@ def _pulse_end(params: SimParams, tol: float) -> float:
     return max(0.0, math.log(200.0 * d / tol))
 
 
-def _free_rotation(a: float, s: np.ndarray, col: tuple[complex, complex]) -> np.ndarray:
-    """exp(-i a s sigma_x) (c1, c2) for every element of ``s``, as an (n, 2) array.
+def _rotation(theta: np.ndarray, axis: tuple[float, float, float], col) -> np.ndarray:
+    """exp(-i theta n.sigma) (c1, c2) for every angle in ``theta``, as an (n, 2) array.
 
-    The rotation is cos(a s) I - i sin(a s) sigma_x.
+    That is cos(theta) (c1, c2) + sin(theta) (t1, t2), (t1, t2) = -i n.sigma (c1, c2).
     """
-    turn = a * s
-    c, minus_i_sin = np.cos(turn), -1j * np.sin(turn)
+    nx, ny, nz = axis
     c1, c2 = col
-    return np.column_stack([c * c1 + minus_i_sin * c2, c * c2 + minus_i_sin * c1])
+    t1 = -1j * nz * c1 + complex(-ny, -nx) * c2
+    t2 = complex(ny, -nx) * c1 + 1j * nz * c2
+    c, s = np.cos(theta), np.sin(theta)
+    return np.column_stack([c * c1 + s * t1, c * c2 + s * t2])
 
 
 def _rotating_states(
@@ -325,62 +308,50 @@ def _rotating_states(
     """Rotating-frame states U(tau_i) psi0, from one bounded integration.
 
     The generator a sigma_x + (D/w) dn(tau, k) sigma_z depends on tau only
-    through dn, whose period is T = 2K(k).  So with tau = n T + r,
-    0 <= r < T, the propagator is U(tau) = U(r) U(T)^n.  At k = 1 dn is
-    the single pulse sech tau and T is infinite.  At resonance dn drops
-    out, so k = 1 takes k = 0's period T = pi; off resonance the pulse has
-    passed by `_pulse_end`'s tau_c, and each later U(tau) is
-    exp(-i a sigma_x (tau - tau_c)) U(tau_c) in closed form.
+    through dn, so with tau = n T + r, 0 <= r < T (see `_period`), the
+    propagator is U(tau) = U(r) U(T)^n.  At k = 1 off resonance the pulse
+    has passed by `_pulse_end`'s tau_c, and each later U(tau) is
+    exp(-i a sigma_x (tau - tau_c)) U(tau_c).
 
     One integration from (1, 0) over the sorted offsets r_i up to tau_c,
     with T (or tau_c) appended when some sample lies beyond, gives the
     first column (a, b) of every U(r_i) and of U(T) (or U(tau_c)).  The
     generator is traceless Hermitian, so each propagator is
-    [[a, -conj(b)], [b, conj(a)]] exactly.  The powers of U(T) act on
-    psi0 once per distinct n_i, by squaring across the gaps between them,
-    so cost and memory grow with the sample count, not with the horizon.
-    Nothing is renormalized.
+    [[a, -conj(b)], [b, conj(a)]] exactly.  U(T) is the rotation
+    cos(phi) I - i sin(phi) n.sigma, w = (-Im b, Re b, -Im a),
+    phi = atan2(|w|, Re a), n = w / |w|, so U(T)^n psi0 is the rotation by
+    n phi: unitary to roundoff at any n.  Nothing is renormalized.
 
     ``taus`` is non-decreasing and starts at 0.  Returns an (n, 2)
     complex array.
     """
-    k = 0.0 if params.k == 1.0 and params.delta_over_omega == 0.0 else params.k
-    period = 2.0 * quarter_period(k) if k < 1.0 else math.inf
+    a_x = params.h_over_omega
+    period = _period(params)
     tau_c = _pulse_end(params, tol)
+    # Past the pulse the state turns about x with period pi / |a|.  From
+    # 2^52 periods on, neighbouring doubles lie half a period apart or more.
+    cycle = period if tau_c == math.inf else math.pi / abs(a_x) if a_x else math.inf
+    if taus[-1] >= 2.0**52 * cycle:
+        msg = f"tau = {float(taus[-1])!r} is 2^52 or more periods of {cycle!r}"
+        raise IntegrationError(msg + ", where doubles lie half a period apart", 0.0)
     turns, offsets = np.divmod(taus, period)
-    # taus increase, so the samples of each n form one run, in order.
-    starts = np.flatnonzero(np.diff(turns, prepend=-1.0))
-    distinct, counts = turns[starts], np.diff(starts, append=len(turns))
-    del turns, starts
     order = np.argsort(offsets, kind="stable")
     offsets = offsets[order]
     cut = int(np.searchsorted(offsets, tau_c, side="right"))
     grid = offsets[:cut].tolist()
     past = offsets[cut:] - tau_c
     del offsets
-    whole = distinct[-1] > 0.0  # some sample lies a period or more out
+    whole = turns[-1] > 0.0  # some sample lies a period or more out
     if whole:
         grid.append(period)
     elif len(past):
         grid.append(tau_c)
     cols = _dopri.integrate(_bind_rotating(params), (1.0 + 0j, 0j), grid, tol)
     del grid
-    if whole:
-        a, b = cols.pop()
-        one_period = (a, -b.conjugate(), b, a.conjugate())
-    elif len(past):
+    a, b = cols.pop() if whole else (1.0 + 0j, 0j)
+    if len(past):
         # From here on, the first columns of U(tau) past the pulse.
-        past = _free_rotation(params.h_over_omega, past, cols.pop())
-
-    # psi0 as the first column of a 2 x 2 matrix, for `_power_times`.
-    v = (complex(psi0[0]), 0j, complex(psi0[1]), 0j)
-    done = 0
-    runs = []
-    for n in distinct.tolist():
-        if n > done:
-            v = _power_times(one_period, int(n) - done, v)
-            done = int(n)
-        runs.append((v[0], v[2]))
+        past = _rotation(a_x * past, (1.0, 0.0, 0.0), cols.pop())
 
     # The list of per-sample tuples is the largest object here: free it
     # before any other per-sample array exists.
@@ -392,8 +363,12 @@ def _rotating_states(
     out = np.empty_like(sorted_cols)
     out[order] = sorted_cols
     del sorted_cols, order
-    runs = np.repeat(np.array(runs, dtype=complex), counts, axis=0)
-    a, b, v1, v2 = out[:, 0], out[:, 1], runs[:, 0], runs[:, 1]
+    w = (-b.imag, b.real, -a.imag)
+    size = math.hypot(*w)
+    axis = tuple(x / size for x in w) if size > 0.0 else (0.0, 0.0, 0.0)
+    turned = _rotation(turns * math.atan2(size, a.real), axis, psi0)
+    del turns
+    a, b, v1, v2 = out[:, 0], out[:, 1], turned[:, 0], turned[:, 1]
     # psi1 = a v1 - conj(b) v2 and psi2 = b v1 + conj(a) v2, in place.
     psi2 = b * v1 + a.conj() * v2
     out[:, 0] = a * v1 - b.conj() * v2
@@ -416,13 +391,14 @@ def evolve(
     Pauli expectation in the lab frame.  Norms are never renormalized.
 
     The integrator covers at most one period T = 2K(k) of the generator,
-    however long the grid: each state is U(tau mod T) U(T)^n psi0 (see
-    `_rotating_states`).  At k = 1 the drive is a single pulse: at
-    resonance it drops out and k = 0's period T = pi serves; off
-    resonance the integration stops at tau_c = ln(200 |D/w| / tol), and
-    later samples rotate about sigma_x in closed form.  Everything after
-    the integrator works on the whole grid at once, with one grid descent
-    for the gauge factor.
+    however long the grid: each state is U(tau mod T) U(T)^n psi0, the
+    power one closed-form rotation (see `_rotating_states`).  At k = 1
+    the drive is a single pulse: at resonance it drops out and k = 0's
+    period T = pi serves; off resonance the integration stops at
+    tau_c = ln(200 |D/w| / tol), and later samples rotate about sigma_x in
+    closed form.  A grid reaching 2^52 periods raises IntegrationError.
+    Everything after the integrator works on the whole grid at once, with
+    one grid descent for the gauge factor.
     """
     initial.require_normalized()
     taus = _validate_grid(tau_grid)
@@ -468,17 +444,17 @@ def propagator(tau: float, params: SimParams, tol: float = DEFAULT_TOL) -> Propa
     That state is the first column (a, b); the generator is traceless
     Hermitian, so the second column is (-conj(b), conj(a)) exactly.
 
-    At a fixed local tolerance the unitarity defect grows by about that
-    tolerance per radian the state turns through, and the rotating-frame
-    rhs turns it at most at the Rabi rate.  So the column is computed at
-    ``tol / max(1, tau * rabi_over_omega)``, floored at `MIN_TOL`, below
-    which the error control cannot be met.  The result is unitary within
-    about ``tol`` while ``tau * rabi_over_omega <= tol / MIN_TOL`` (1e5 at
-    the default tol); past that the defect grows by about `MIN_TOL` per
-    radian (2e-4 at tau = 1e12 for h/w 0.3, D/w 0.15, k 0.7).
+    At a fixed local tolerance the column's unitarity defect grows by
+    about that tolerance per radian the state turns through, and the
+    rotating-frame rhs turns it at most at the Rabi rate.  `evolve`
+    integrates at most one period T and composes the rest unitarily, so
+    the column is computed at ``tol / max(1, min(tau, T) * rabi_over_omega)``,
+    floored at `MIN_TOL`, below which the error control cannot be met: unitary
+    within about ``tol``, at the same cost, at any horizon `evolve` accepts.
     """
     tau = require_tau(tau)
-    local_tol = min(tol, max(MIN_TOL, tol / max(1.0, tau * params.rabi_over_omega)))
+    stretch = min(tau, _period(params)) * params.rabi_over_omega
+    local_tol = min(tol, max(MIN_TOL, tol / max(1.0, stretch)))
     grid = [0.0, tau] if tau > 0.0 else [0.0]
     a, b = evolve(SPIN_UP, params, grid, local_tol).lab[-1].tolist()
     return Propagator(u11=a, u12=-b.conjugate(), u21=b, u22=a.conjugate())

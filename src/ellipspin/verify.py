@@ -142,9 +142,9 @@ def invariants_suite(tol: float = sd.DEFAULT_TOL) -> list[CheckResult]:
     # `evolve` composes U(tau mod T) U(T)^n from one period T = 2K of the
     # generator; the lab system, integrated straight through and never
     # composed, must give the same |psi2|^2 across many periods.  The
-    # coarse grid steps several periods between samples, so powers of
-    # U(T) are squared there.  Own seed, so the draws of the other checks
-    # stay as they were.
+    # coarse grid steps several periods between samples, so the closed-form
+    # power of U(T) turns through several periods at once there.  Own seed,
+    # so the draws of the other checks stay as they were.
     rng_pc = np.random.default_rng(_SEED + 3)
     taus_pc = np.linspace(0.0, 50.0, 201)
     worst = 0.0

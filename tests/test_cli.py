@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ellipspin.heun as heun
 import ellipspin.spin_dynamics as sd
 from ellipspin import cli
 from ellipspin.elliptic import _jacobi_grid, jacobi, jacobi_identity_residuals
@@ -233,7 +234,7 @@ class TestSimulate:
         assert float(fields[4]) <= 1e-6
 
     def test_heun_check_at_absurd_horizon_fails_cleanly(self, tmp_path):
-        proc = run_cli("simulate", str(self._long_heun_check_config(tmp_path, "1e18")))
+        proc = run_cli("simulate", str(self._long_heun_check_config(tmp_path, "1e12")))
         assert proc.returncode == 3
         err = proc.stderr.decode()
         assert err.startswith("runtime failure in reduction cross-check")
@@ -382,6 +383,25 @@ class TestSimulate:
         assert err.startswith("config error") and err.count("\n") == 1
         assert "tol" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("tau_max", ["1e18", "1e300"])
+    @pytest.mark.parametrize("k", ["0.7", "1"])
+    def test_horizon_past_2_to_the_52_periods_is_refused(self, tmp_path, command, tau_max, k):
+        # These runs used to exit 0 with all-zero amplitudes, norm_drift 1.
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(
+            f"k = {k}\nh_over_omega = 0.3\ndelta_over_omega = 0.15\n"
+            f"tau_max = {tau_max}\nn_samples = 3\n"
+        )
+        out = tmp_path / "out.csv"
+        start = time.perf_counter()
+        rc, err = run_in_process(command, str(cfg), "-o", str(out))
+        assert time.perf_counter() - start < 1.0
+        assert rc == 3
+        assert err.startswith("integration failure: tau = ") and err.count("\n") == 1
+        assert "2^52 or more periods" in err
+        assert not out.exists()
+
 
 SWEEP_CONFIG = """\
 k = 0.3, 0.7, 0.99
@@ -515,14 +535,14 @@ class TestVerify:
         proc = run_cli("verify", "heun")
         assert proc.returncode == 0, proc.stderr
         assert b"PASS  loop_composition" in proc.stdout
-        # The shared 2 x 2 power applied in the wrong order, x m^n instead
+        # The 2 x 2 power applied in the wrong order, x m^n instead
         # of m^n x: the Heun side then composes (G F)^n F, not F (G F)^n.
-        real = sd._power_times
+        real = heun._power_times
 
         def wrong_order(m, n, x):
-            return sd._mat_mul(x, real(m, n, (1.0, 0.0, 0.0, 1.0)))
+            return heun._mat_mul(x, real(m, n, (1.0, 0.0, 0.0, 1.0)))
 
-        monkeypatch.setattr(sd, "_power_times", wrong_order)
+        monkeypatch.setattr(heun, "_power_times", wrong_order)
         rc, err = run_in_process("verify", "heun")
         assert rc == 1
         assert "loop_composition" in err

@@ -592,8 +592,8 @@ class TestLoopComposition:
 
     def test_transposed_power_rounds_as_right_multiplication(self):
         # The composition F (G F)^n taken by right multiplication, as it
-        # was before the shared kernel, against the kernel's (f g)^n f on
-        # the transposes f = F^T, g = G^T: bit for bit, transposed.
+        # was before the left-multiplying kernel, against the kernel's
+        # (f g)^n f on the transposes f = F^T, g = G^T: bit for bit, transposed.
         def mul(x, y):
             return (
                 x[0] * y[0] + x[1] * y[2],
@@ -620,7 +620,7 @@ class TestLoopComposition:
                 e >>= 1
                 if e:
                     m = mul(m, m)
-            got = sd._power_times(sd._mat_mul(transpose(f), transpose(g)), n, transpose(f))
+            got = heun._power_times(heun._mat_mul(transpose(f), transpose(g)), n, transpose(f))
             assert transpose(got) == want, n
 
     def test_cost_does_not_grow_with_the_horizon(self, monkeypatch):

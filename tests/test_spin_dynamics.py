@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -231,8 +232,8 @@ def _half_angle_gauge_factor(tau, k):
 def _column_power_times(col, m, v):
     """U^m v by binary powering, U = [[a, -conj(b)], [b, conj(a)]] from its column (a, b).
 
-    The SU(2) column form `evolve` composed with before the shared 2 x 2
-    kernel, kept as the reference for `_power_times`.
+    The SU(2) column form the ODE side once composed with, kept as the
+    reference for the Heun side's 2 x 2 kernel `heun._power_times`.
     """
     a, b = col
     v1, v2 = v
@@ -249,15 +250,16 @@ def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
     """(lab, rot, p_flip, polarization) composed one sample at a time.
 
     The same bounded integration `evolve` makes, then a scalar Python
-    loop: each state is U(r) U(T)^n psi0 for tau = n T + r, with the power
-    carried forward across the gaps between successive n by the shared
-    kernel `_power_times`, and the gauge factor and observables from the
-    complex expressions.  At k = 1 the resonant generator has no dn and
-    takes k = 0's period; off resonance every column past
+    loop: each state is U(r) U(T)^n psi0 for tau = n T + r.  U(T) =
+    [[a, -conj(b)], [b, conj(a)]] is the rotation cos(phi) - i sin(phi)
+    n.sigma with sin(phi) n = (-Im b, Re b, -Im a) and cos(phi) = Re a,
+    so U(T)^n psi0 is cos(n phi) psi0 - i sin(n phi) n.sigma psi0, from
+    `math.cos` and `math.sin`.  The gauge factor and observables come
+    from the complex expressions.  At k = 1 the resonant generator has no
+    dn and takes k = 0's period; off resonance every column past
     tau_c = ln(200 |D/w| / tol) is the free rotation
     cos(a s) - i sin(a s) sigma_x, s = tau - tau_c, of the column at tau_c.
-    The reference for `evolve`'s array arithmetic; `TestPowerKernel` pins
-    the kernel itself.
+    The reference for `evolve`'s array arithmetic.
     """
     k, d = params.k, params.delta_over_omega
     tau_c = max(0.0, math.log(200.0 * abs(d) / tol)) if k == 1.0 and d != 0.0 else math.inf
@@ -285,19 +287,27 @@ def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
                 complex(c * a_c.real + s * b_c.imag, c * a_c.imag - s * b_c.real),
                 complex(c * b_c.real + s * a_c.imag, c * b_c.imag - s * a_c.real),
             )
+    # U(T) as a rotation; the identity when no sample lies a period out.
+    a, b = cols[-1] if split[-1][0] > 0.0 else (1.0, 0j)
+    nx, ny, nz = -b.imag, b.real, -a.imag
+    sin_phi = math.sqrt(nx * nx + ny * ny + nz * nz)
+    phi = math.atan2(sin_phi, a.real)
+    if sin_phi > 0.0:
+        nx, ny, nz = nx / sin_phi, ny / sin_phi, nz / sin_phi
+    psi0 = complex(initial.psi1), complex(initial.psi2)
+    n_sigma_psi0 = (
+        nz * psi0[0] + complex(nx, -ny) * psi0[1],
+        complex(nx, ny) * psi0[0] - nz * psi0[1],
+    )
     n = len(taus)
     lab = np.empty((n, 2), dtype=complex)
     rot = np.empty((n, 2), dtype=complex)
     p_flip = np.empty(n)
     pol = np.empty((n, 3))
-    v, done = (complex(initial.psi1), complex(initial.psi2)), 0
     for i, tau in enumerate(taus.tolist()):
-        turns = int(split[i][0])
-        if turns > done:
-            a, b = cols[-1]
-            u_t = (a, -b.conjugate(), b, a.conjugate())
-            x = sd._power_times(u_t, turns - done, (v[0], 0j, v[1], 0j))
-            v, done = (x[0], x[2]), turns
+        theta = split[i][0] * phi
+        c, s = math.cos(theta), math.sin(theta)
+        v = [c * x - 1j * s * y for x, y in zip(psi0, n_sigma_psi0)]
         a, b = col_at[i]
         p1 = a * v[0] - b.conjugate() * v[1]
         p2 = b * v[0] + a.conjugate() * v[1]
@@ -319,12 +329,12 @@ def same_bits(a, b) -> bool:
 
 
 class TestPowerKernel:
-    """`_power_times` on the ODE's SU(2) powers, against the column form."""
+    """`heun._power_times` on SU(2) powers, against the column form."""
 
     @staticmethod
     def _check(a, b, v, m):
         want = _column_power_times((a, b), m, v)
-        got = sd._power_times((a, -b.conjugate(), b, a.conjugate()), m, (v[0], 0j, v[1], 0j))
+        got = heun._power_times((a, -b.conjugate(), b, a.conjugate()), m, (v[0], 0j, v[1], 0j))
         assert got[1] == got[3] == 0
         # Bit for bit up to the sign of exact zeros (adding 0.0 folds -0.0
         # into +0.0): x + (-p) and x - p round a zero result differently.
@@ -504,6 +514,87 @@ class TestPeriodComposition:
         assert peak < 4 * 2**20
 
 
+    def test_norm_drift_at_a_far_horizon(self):
+        # 1.5e-5 when U(T) was raised to its powers by repeated squaring.
+        p = SimParams.from_detuning(0.3, 0.15, 0.7)
+        traj = evolve(spin_up(), p, np.linspace(0.0, 1e6, 3))
+        assert np.max(traj.norm_drift) <= 1e-9
+
+    def test_matches_dop853_across_many_periods(self):
+        # 8.5e-9 when U(T) was raised to its powers by repeated squaring.
+        from scipy.integrate import solve_ivp
+        from scipy.special import ellipj
+
+        a, delta, k = 0.25, 0.1, 0.7
+        taus = np.linspace(0.0, 2000.0, 41)
+        traj = evolve(spin_up(), SimParams.from_detuning(a, delta, k), taus)
+
+        def rhs(tau, y):
+            d = delta * ellipj(tau, k * k)[2]
+            return [-1j * (d * y[0] + a * y[1]), -1j * (a * y[0] - d * y[1])]
+
+        ref = solve_ivp(
+            rhs, (0.0, 2000.0), [1.0 + 0j, 0j], method="DOP853", rtol=1e-13, atol=1e-13, t_eval=taus
+        ).y.T
+        assert np.max(np.abs(traj.rot - ref)) <= 2e-9
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_period_of_plus_or_minus_identity_powers_exactly(self, monkeypatch, sign):
+        # U(T) = +-I turns about no axis (w = 0): U(T)^n psi0 is (+-1)^n psi0
+        # exactly.  The integrator is replaced by one whose every U(r) is I.
+        def integrate(rhs, y0, grid, tol):
+            return [(1.0 + 0j, 0j)] * (len(grid) - 1) + [(complex(sign), 0j)]
+
+        monkeypatch.setattr(_dopri, "integrate", integrate)
+        p = SimParams.from_detuning(0.3, 0.2, 0.7)
+        turns = np.unique(np.geomspace(1.0, 1e6, 200).astype(int))
+        taus = np.concatenate([[0.0], (turns + 0.5) * 2.0 * quarter_period(0.7)])
+        traj = evolve(self.TILTED, p, taus)
+        psi0 = np.array([self.TILTED.psi1, self.TILTED.psi2])
+        want = np.concatenate([[1.0], sign ** (turns % 2)])[:, None] * psi0
+        assert np.array_equal(traj.rot, want)
+
+
+class TestHorizonCap:
+    """From 2^52 periods on, a double no longer fixes a sample's place in the period."""
+
+    @pytest.mark.parametrize("tau_max", [1e18, 1e300])
+    @pytest.mark.parametrize("k", [0.7, 1.0])
+    def test_refused_at_once(self, k, tau_max):
+        # Before the cap these runs returned all-zero amplitudes or a state
+        # whose norm had drifted by 1.
+        p = SimParams.from_detuning(0.3, 0.15, k)
+        start = time.perf_counter()
+        with pytest.raises(IntegrationError, match="2\\^52 or more periods"):
+            evolve(spin_up(), p, np.linspace(0.0, tau_max, 3))
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "k, delta, period",
+        [
+            (0.0, 0.15, math.pi),
+            (0.7, 0.15, 2.0 * quarter_period(0.7)),
+            (0.999, 0.15, 2.0 * quarter_period(0.999)),
+            (1.0, 0.0, math.pi),
+            # Past the pulse, the free rotation's period pi / (h/w).
+            (1.0, 0.15, math.pi / 0.3),
+        ],
+    )
+    def test_cap_is_2_to_the_52_periods(self, k, delta, period):
+        p = SimParams.from_detuning(0.3, delta, k)
+        cap = 2.0**52 * period
+        traj = evolve(spin_up(), p, [0.0, math.nextafter(cap, 0.0)])
+        assert np.max(traj.norm_drift) <= 1e-9
+        with pytest.raises(IntegrationError):
+            evolve(spin_up(), p, [0.0, cap])
+
+    def test_no_cap_without_a_free_rotation(self):
+        # h/w = 0 at k = 1: past the pulse the state stands still.
+        traj = evolve(spin_up(), SimParams.from_detuning(0.0, 0.15, 1.0), [0.0, 1e300])
+        assert traj.p_flip.tolist() == [0.0, 0.0]
+        assert np.max(traj.norm_drift) <= 1e-9
+
+
 class TestPulseTail:
     """At k = 1 `evolve` integrates until the pulse has passed, then rotates in closed form."""
 
@@ -567,11 +658,14 @@ class TestPulseTail:
 def _assembled_propagator(tau, params, tol=sd.DEFAULT_TOL):
     """The lab propagator as assembled before it read `evolve`'s last sample.
 
-    The rotating-frame column from (1, 0) at the tightened tolerance, then
-    products with the scalar gauge factor f: [[f a, -f conj(b)],
+    The rotating-frame column from (1, 0) at the tolerance tightened for
+    the one integrated stretch, min(tau, T) with T the generator's period,
+    then products with the scalar gauge factor f: [[f a, -f conj(b)],
     [conj(f) b, conj(f) conj(a)]].
     """
-    local_tol = tol / max(1.0, tau * params.rabi_over_omega)
+    k = 0.0 if params.k == 1.0 and params.delta_over_omega == 0.0 else params.k
+    period = 2.0 * quarter_period(k) if k < 1.0 else math.inf
+    local_tol = tol / max(1.0, min(tau, period) * params.rabi_over_omega)
     col = sd._rotating_states(params, (1.0 + 0j, 0j), np.array([0.0, tau]), local_tol)
     a, b = complex(col[-1, 0]), complex(col[-1, 1])
     f = _half_angle_gauge_factor(tau, params.k)
@@ -630,6 +724,19 @@ class TestPropagator:
             counts["rhs"] = 0
             propagator(tau, p)
             per_horizon.append(counts["rhs"])
+        assert 0 < per_horizon[0] == per_horizon[1]
+
+    def test_unitary_at_a_far_horizon(self, monkeypatch):
+        # 1.9e-4 at tau 1e12 when the local tol shrank with the whole
+        # horizon and U(T) was raised to its powers by repeated squaring.
+        counts = _counting_rhs(monkeypatch)
+        p = SimParams.from_detuning(0.3, 0.15, 0.7)
+        per_horizon = []
+        for tau in (1e8, 1e12):
+            counts["rhs"] = 0
+            u = propagator(tau, p, tol=1e-10)
+            per_horizon.append(counts["rhs"])
+        assert u.unitarity_defect() < 2e-10
         assert 0 < per_horizon[0] == per_horizon[1]
 
     def test_unitary_at_far_corner_of_verify_range(self):
