@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface (subprocess level)."""
 
 import contextlib
+import errno
 import io
+import os
 import re
 import subprocess
 import sys
@@ -210,6 +212,22 @@ class TestSimulate:
         assert b"heun_check" in proc.stderr
         diff = float(proc.stderr.decode().split("diff=")[1].split()[0])
         assert diff < 1e-6
+
+    @pytest.mark.parametrize("tau_max", ["2.0", "3.7", "10.0"])
+    def test_heun_check_ode_value_is_the_csv_last_p_flip(self, tmp_path, tau_max):
+        # The report and the CSV come from different formatters; readers of
+        # both (the benchmark's checks) compare the two fields as text.
+        cfg, out = tmp_path / "h.cfg", tmp_path / "h.csv"
+        cfg.write_text(
+            RESONANCE_CONFIG.replace("outputs = trajectory", "outputs = trajectory,heun_check")
+            .replace("delta_over_omega = 0.0", "delta_over_omega = 0.05")
+            .replace("tau_max = 10.0", f"tau_max = {tau_max}")
+        )
+        rc, err = run_in_process("simulate", str(cfg), "-o", str(out))
+        assert rc == 0, err
+        ode = re.search(r" ode=(\S+) ", err)[1]
+        last_row = out.read_text().splitlines()[-1].split(",")
+        assert last_row[HEADER.split(",").index("p_flip")] == ode
 
     @staticmethod
     def _long_heun_check_config(tmp_path, tau_max):
@@ -634,6 +652,41 @@ class TestUnwritableOutput:
         assert proc.stderr.startswith(b"config error: cannot write output")
         assert proc.stderr.count(b"\n") == 1
         assert not out.parent.exists()
+
+
+_DEV_FULL = Path("/dev/full")
+
+
+@pytest.mark.skipif(not _DEV_FULL.exists(), reason="needs /dev/full")
+class TestWriteFailure:
+    """A CSV write that fails is a runtime failure on one line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, args",
+        [
+            ("simulate", None),
+            ("sweep", None),
+            ("elliptic-table", ["0.5", "1", "3"]),  # fails only when flushed at the end
+            ("elliptic-table", ["0.7", "20", "2001"]),  # fails in the middle of the file
+        ],
+    )
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_full_device(self, tmp_path, command, args, to_file):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SWEEP_CONFIG if command == "sweep" else RESONANCE_CONFIG)
+        argv = [sys.executable, "-m", "ellipspin", command, *(args or [str(cfg)])]
+        if to_file:
+            proc = subprocess.run([*argv, "-o", str(_DEV_FULL)], capture_output=True, timeout=600)
+            name = repr(str(_DEV_FULL))
+        else:
+            with open(_DEV_FULL, "wb") as full:
+                proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, timeout=600)
+            name = "'<stdout>'"
+        # One line, and no "Exception ignored" from flushing stdout at exit.
+        assert proc.stderr.decode() == (
+            f"runtime failure: cannot write output {name}: {os.strerror(errno.ENOSPC)}\n"
+        )
+        assert proc.returncode == 3
 
 
 DENSE_CONFIG = """\
