@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 
@@ -257,14 +258,16 @@ def _write_rows(output: str | None, header: str, blocks) -> int:
     ``_fmt(x)`` per value.  The CSV goes to the file ``output``, opened and
     closed here, or to stdout when ``output`` is None.  Returns the exit
     code: EXIT_CONFIG when ``output`` cannot be opened and EXIT_RUNTIME
-    when writing fails, each with one line on stderr.
+    when writing fails, each with one line on stderr.  A failed write
+    removes ``output`` when it is a regular file, so no cut-short CSV is
+    left behind; a device or pipe is never removed.
     """
     try:
-        target = (
-            open(output, "w", encoding="ascii", newline="\n")
-            if output is not None
-            else contextlib.nullcontext(sys.stdout)
-        )
+        if output is None:
+            target, regular = contextlib.nullcontext(sys.stdout), False
+        else:
+            target = open(output, "w", encoding="ascii", newline="\n")
+            regular = stat.S_ISREG(os.fstat(target.fileno()).st_mode)
     except OSError as exc:
         print(f"config error: cannot write output {output!r}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
@@ -282,6 +285,9 @@ def _write_rows(output: str | None, header: str, blocks) -> int:
     except OSError as exc:
         name = output if output is not None else "<stdout>"
         print(f"runtime failure: cannot write output {name!r}: {exc.strerror or exc}", file=sys.stderr)
+        if regular:
+            with contextlib.suppress(OSError):
+                os.remove(output)
         if output is None:
             # What stdout still buffers would fail again at shutdown.
             _silence_stdout()

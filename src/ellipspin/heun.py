@@ -656,38 +656,29 @@ def coordinate_path(
     return out
 
 
-_Matrix2 = tuple[complex, complex, complex, complex]
+def _floquet_power(m: tuple[complex, ...], n: int) -> tuple[tuple[complex, ...], complex]:
+    """(m^n, theta) for a row-major 2 x 2 complex matrix m with det m != 0.
 
-
-def _mat_mul(x: _Matrix2, y: _Matrix2) -> _Matrix2:
-    """Product of two row-major 2 x 2 complex matrices."""
-    return (
-        x[0] * y[0] + x[1] * y[2],
-        x[0] * y[1] + x[1] * y[3],
-        x[2] * y[0] + x[3] * y[2],
-        x[2] * y[1] + x[3] * y[3],
-    )
-
-
-def _power_times(m: _Matrix2, n: int, x: _Matrix2) -> _Matrix2:
-    """m^n x for row-major 2 x 2 matrices, by binary powering.
-
-    One squaring per bit of ``n``, so a power costs O(log n) products.
-    Every factor taken on the left is a power of m, so the factors
-    commute and their order does not matter.
+    With s = sqrt(det m), m / s lies in SL(2, C): its traceless part
+    X = m / s - c I, c = tr(m / s) / 2 = cos(theta), squares to
+    -sin(theta)^2 I.  So (m / s)^n = cos(n theta) I + (sin(n theta) /
+    sin(theta)) X, and at sin(theta) = 0, where c = +-1, it is
+    c^n I + n c^(n-1) X with c^n = cos(n theta), exact at m = +-I.
+    sin(theta) comes from the entries of X, not from 1 - c^2, which
+    cancels near c = +-1.  theta is the Floquet angle of m; the power
+    costs the same for any n.
     """
-    while n:
-        if n & 1:
-            x = _mat_mul(m, x)
-        n >>= 1
-        if n:
-            m = _mat_mul(m, m)
-    return x
-
-
-def _solution_rows(cont: Continuation) -> _Matrix2:
-    """[[v1, v1'], [v2, v2']] of a continuation: the transposed fundamental matrix."""
-    return (cont.v1, cont.dv1, cont.v2, cont.dv2)
+    m11, m12, m21, m22 = m
+    s = cmath.sqrt(m11 * m22 - m12 * m21)
+    c = 0.5 * (m11 + m22) / s
+    x11, x12, x21 = 0.5 * (m11 - m22) / s, m12 / s, m21 / s
+    sin_theta = cmath.sqrt(-(x11 * x11 + x12 * x21))
+    theta = -1j * cmath.log(c + 1j * sin_theta)
+    diag = cmath.cos(n * theta)
+    off = cmath.sin(n * theta) / sin_theta if sin_theta else n * diag / c
+    scale = s**n
+    diag, off = scale * diag, scale * off
+    return (diag + off * x11, off * x12, off * x21, diag - off * x11), theta
 
 
 def flip_probability_heun(
@@ -709,11 +700,13 @@ def flip_probability_heun(
     The coordinate closes after T = 4K(k), and the equation's coefficients
     are rational in it, so with tau = n T + r the system is continued at
     most once round the loop: F along the path to r, G along the rest of
-    the loop back to the start, and the data at tau are F (G F)^n.  Below
-    one loop (n = 0) this is the direct continuation.  The cost follows
-    one loop, not the horizon; errors compose about n-fold.  A composed
-    determinant that leaves its closed form by more than 1e-8, or a
-    probability above 1 by more than that, raises StepError.
+    the loop back to the start, and the data at tau are F (G F)^n, the
+    power in closed form through the loop's Floquet angle (see
+    `_floquet_power`).  Below one loop (n = 0) this is the direct
+    continuation.  The cost follows one loop, not the horizon; errors
+    compose about n-fold.  A composed determinant that leaves its closed
+    form by more than 1e-8, or overflows, or a probability above 1 by
+    more than that, raises StepError.
     """
     tau = sd.require_tau(tau)
     data = heun_parameters(params, selection)
@@ -727,13 +720,16 @@ def flip_probability_heun(
     if n > 0:
         rest = coordinate_path(loop_time, k, step_fraction, start=r)
         rest[-1] = path[0]
-        f = _solution_rows(cont)
-        g = _solution_rows(
-            continue_along_path(data, rest, n_terms=n_terms, step_fraction=step_fraction)
+        g = continue_along_path(data, rest, n_terms=n_terms, step_fraction=step_fraction)
+        # Fundamental matrices [[v1, v2], [v1', v2']]: F to r, G on round
+        # the loop, and the loop matrix G F from the start.
+        f11, f12, f21, f22 = cont.v1, cont.v2, cont.dv1, cont.dv2
+        loop = (
+            g.v1 * f11 + g.v2 * f21,
+            g.v1 * f12 + g.v2 * f22,
+            g.dv1 * f11 + g.dv2 * f21,
+            g.dv1 * f12 + g.dv2 * f22,
         )
-        # F (G F)^n transposed is (f g)^n f, with f and g the transposes
-        # of F and G.  Every product rounds as its transpose does.
-        total = _power_times(_mat_mul(f, g), n, f)
         # Liouville: |det| at the end of the path is the Wronskian's
         # closed-form modulus, which has no branch (the exponents are real).
         expected = math.prod(
@@ -741,7 +737,10 @@ def flip_probability_heun(
             for s, e in zip(data.singular_points, (data.gamma, data.delta, data.epsilon))
         )
         try:
-            drift = abs(abs(total[0] * total[3] - total[1] * total[2]) / expected - 1.0)
+            (p11, p12, p21, p22), _ = _floquet_power(loop, n)
+            t11, t12 = f11 * p11 + f12 * p21, f11 * p12 + f12 * p22
+            t21, t22 = f21 * p11 + f22 * p21, f21 * p12 + f22 * p22
+            drift = abs(abs(t11 * t22 - t12 * t21) / expected - 1.0)
         except OverflowError:
             drift = math.inf
         if not drift <= 1e-8:
@@ -749,7 +748,7 @@ def flip_probability_heun(
                 f"determinant of {n:.3g} composed loops drifted by {drift:.3g}; "
                 f"composition unreliable at tau = {tau!r}"
             )
-        v2 = total[2]
+        v2 = t12
 
     # v1(z0) = 1, v2(z0) = 0, so the solution-difference numerator reduces
     # to -v2 at the endpoint, and the start Wronskian is exactly 1.  The

@@ -8,6 +8,7 @@ reports the worst residual per check.  The suites are deterministic
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -58,6 +59,15 @@ def _heun_probability(tau: float, p: sd.SimParams, selection: str) -> float:
         return heun.flip_probability_heun(tau, p, selection)
     except StepError:
         return math.inf
+
+
+def _loop_angle(p: sd.SimParams, selection: str) -> complex:
+    """The Heun side's Floquet angle: one loop T = 4K continued as a closed path."""
+    data = heun.heun_parameters(p, selection)
+    path = heun.coordinate_path(4.0 * quarter_period(p.k), p.k)
+    path[-1] = path[0]
+    c = heun.continue_along_path(data, path)
+    return heun._floquet_power((c.v1, c.v2, c.dv1, c.dv2), 1)[1]
 
 
 def _trajectories(params_list, tau_max, n_samples, tol):
@@ -302,7 +312,7 @@ def heun_suite(tol: float = sd.DEFAULT_TOL) -> list[CheckResult]:
         p_ode = float(sd.evolve(sd.SPIN_UP, p, [0.0, tau], tol=tol).p_flip[-1])
         p_series = _heun_probability(tau, p, heun.DEFAULT_SELECTION)
         worst = max(worst, abs(p_ode - p_series))
-    results.append(CheckResult("flip_probability_reduction_vs_ode", worst, 1e-6))
+    results.append(CheckResult("flip_probability_reduction_vs_ode", worst, 1e-8))
 
     # The assembled probability cannot depend on the exponent selection.
     p = sd.SimParams.from_detuning(0.2, 0.08, 0.5)
@@ -333,6 +343,26 @@ def heun_suite(tol: float = sd.DEFAULT_TOL) -> list[CheckResult]:
             direct = (p.h_over_omega * end_scale / start_scale) ** 2
             worst = max(worst, abs(_heun_probability(tau, p, sel) - direct))
     results.append(CheckResult("loop_composition", worst, 1e-10))
+
+    # One Floquet angle on both routes.  The loop T = 4K spans two periods
+    # 2K of the ODE generator, whose U(2K) turns by phi, cos(phi) = Re a,
+    # so the loop turns by theta = 2 phi; the sqrt(det) branch can add pi,
+    # so squares are compared.  At resonance U turns about x by h tau,
+    # and theta = 4K h/w whatever k: the paper's modulus independence.
+    # Own seed, so the draws of the other checks stay as they were.
+    rng_ft = np.random.default_rng(_SEED + 5)
+    worst = worst_res = 0.0
+    for p in _random_params(rng_ft, 4):
+        sel = heun.SELECTIONS[int(rng_ft.integers(len(heun.SELECTIONS)))]
+        big_k = quarter_period(p.k)
+        a = complex(sd.evolve(sd.SPIN_UP, p, [0.0, 2.0 * big_k], tol=tol).rot[-1, 0])
+        cos_2phi = 2.0 * a.real * a.real - 1.0
+        worst = max(worst, abs(cmath.cos(_loop_angle(p, sel)) ** 2 - cos_2phi**2))
+        p_res = sd.SimParams.from_detuning(p.h_over_omega, 0.0, p.k)
+        cos_res = math.cos(4.0 * big_k * p.h_over_omega)
+        worst_res = max(worst_res, abs(cmath.cos(_loop_angle(p_res, sel)) ** 2 - cos_res**2))
+    results.append(CheckResult("floquet_trace", worst, 1e-8))
+    results.append(CheckResult("floquet_resonance", worst_res, 1e-12))
     return results
 
 

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface (subprocess level)."""
 
+import cmath
 import contextlib
 import errno
 import io
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -553,17 +555,33 @@ class TestVerify:
         proc = run_cli("verify", "heun")
         assert proc.returncode == 0, proc.stderr
         assert b"PASS  loop_composition" in proc.stdout
-        # The 2 x 2 power applied in the wrong order, x m^n instead
-        # of m^n x: the Heun side then composes (G F)^n F, not F (G F)^n.
-        real = heun._power_times
+        # The loop power turned by the wrong angle, (n + 1) theta for
+        # n theta, at the right determinant: the Liouville guard cannot
+        # see it, only the direct path can.
+        real = heun._floquet_power
 
-        def wrong_order(m, n, x):
-            return heun._mat_mul(x, real(m, n, (1.0, 0.0, 0.0, 1.0)))
+        def wrong_angle(m, n):
+            power, theta = real(m, n + 1)
+            s = cmath.sqrt(m[0] * m[3] - m[1] * m[2])
+            return tuple(x / s for x in power), theta
 
-        monkeypatch.setattr(heun, "_power_times", wrong_order)
+        monkeypatch.setattr(heun, "_floquet_power", wrong_angle)
         rc, err = run_in_process("verify", "heun")
         assert rc == 1
         assert "loop_composition" in err
+
+    def test_floquet_angle_is_checked_against_the_ode(self, monkeypatch):
+        rc, err = run_in_process("verify", "heun", "--tol", "0.1")
+        assert rc == 1
+        assert "floquet_trace" in err and "floquet_resonance" not in err
+        # The Heun side's angle a part in 1e6 off: both Floquet checks see it.
+        real = heun._floquet_power
+        monkeypatch.setattr(
+            heun, "_floquet_power", lambda m, n: (real(m, n)[0], real(m, n)[1] * (1.0 + 1e-6))
+        )
+        rc, err = run_in_process("verify", "heun")
+        assert rc == 1
+        assert "floquet_trace" in err and "floquet_resonance" in err
 
     def test_pulse_tail_is_checked_against_a_direct_path(self, monkeypatch):
         rc, err = run_in_process("verify", "invariants")
@@ -688,6 +706,26 @@ class TestWriteFailure:
         )
         assert proc.returncode == 3
 
+    def test_file_cut_short_is_removed(self, tmp_path):
+        # A file size limit of 8 KiB, in the child only, cuts the CSV in
+        # the middle of a row: nothing that still parses may be left.
+        out = tmp_path / "trunc.csv"
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (8192, 8192))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "ellipspin", "elliptic-table", "0.7", "20", "2001", "-o", str(out)],
+            capture_output=True,
+            timeout=600,
+            preexec_fn=limit_file_size,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.decode() == (
+            f"runtime failure: cannot write output {str(out)!r}: {os.strerror(errno.EFBIG)}\n"
+        )
+        assert not out.exists()
+
 
 DENSE_CONFIG = """\
 k = 0.7
@@ -742,7 +780,7 @@ class TestCsvBytes:
         assert np.max(np.abs(np.column_stack(columns[1:4]) - scalar)) <= GRID_BOUND
 
     def test_simulate_never_buffers_the_whole_file(self, tmp_path):
-        # Peak traced allocation of this 20,001-sample run: 3.7 MiB when
+        # Peak traced allocation of this 20,001-sample run: 4.0 MiB when
         # rows are written a chunk at a time; joining the file into one
         # string first adds about 13 MiB.
         cfg, out = tmp_path / "d.cfg", tmp_path / "d.csv"

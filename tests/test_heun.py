@@ -547,6 +547,88 @@ class TestFlipProbability:
             assert abs(heun.flip_probability_heun(40.0, p, selection=sel) - direct) < 1e-6
 
 
+def _mul(x, y):
+    """Product of two row-major 2 x 2 matrices."""
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _binary_power(m, n):
+    """m^n by binary powering: the kernel the closed form replaced, kept as its oracle."""
+    x = (1.0 + 0j, 0j, 0j, 1.0 + 0j)
+    while n:
+        if n & 1:
+            x = _mul(x, m)
+        n >>= 1
+        if n:
+            m = _mul(m, m)
+    return x
+
+
+def _gap(x, y) -> float:
+    return max(abs(a - b) for a, b in zip(x, y))
+
+
+def _random_u2(rng):
+    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    return tuple(q.ravel().tolist())
+
+
+def _random_su2(rng):
+    z = rng.normal(size=4)
+    z /= np.linalg.norm(z)
+    a, b = complex(z[0], z[1]), complex(z[2], z[3])
+    return (a, -b.conjugate(), b, a.conjugate())
+
+
+class TestFloquetPower:
+    """`heun._floquet_power` against binary powering."""
+
+    def test_random_su2(self):
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            m = _random_su2(rng)
+            n = int(rng.integers(1, 5001))
+            power, theta = heun._floquet_power(m, n)
+            assert _gap(power, _binary_power(m, n)) < 4e-15 * n, (m, n)
+            assert abs(cmath.cos(theta) - 0.5 * (m[0] + m[3])) < 1e-15
+
+    def test_sl2c_conjugates_of_rotations(self):
+        # A R A^-1 e^(i alpha), R in SU(2), A = U diag(l, 1/l) V with
+        # 1 <= |l| <= 1.5, so cond(A) <= 2.25: the power stays bounded, and
+        # the phase makes sqrt(det) pick a branch.
+        rng = np.random.default_rng(41)
+        for _ in range(500):
+            lam = cmath.rect(rng.uniform(1.0, 1.5), rng.uniform(-math.pi, math.pi))
+            u, v = _random_su2(rng), _random_su2(rng)
+            a = _mul(_mul(u, (lam, 0j, 0j, 1.0 / lam)), v)
+            a_inv = (a[3], -a[1], -a[2], a[0])
+            phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            m = tuple(phase * x for x in _mul(_mul(a, _random_su2(rng)), a_inv))
+            n = int(rng.integers(1, 5001))
+            want = _binary_power(m, n)
+            got = heun._floquet_power(m, n)[0]
+            assert _gap(got, want) < 2e-14 * n * max(map(abs, want)), (m, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1001])
+    def test_plus_minus_identity_is_exact(self, n):
+        one, zero = 1.0 + 0j, 0j
+        assert heun._floquet_power((one, zero, zero, one), n)[0] == (one, zero, zero, one)
+        sign = (-1) ** n
+        assert heun._floquet_power((-one, zero, zero, -one), n)[0] == (sign, 0, 0, sign)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1001])
+    def test_parabolic_branch(self, n):
+        # sin(theta) = 0 with X != 0: the power is c^n I + n c^(n-1) X.
+        for m in ((1.0, 1.0, 0.0, 1.0), (-1.0, 2.0, 0.0, -1.0)):
+            m = tuple(complex(x) for x in m)
+            assert heun._floquet_power(m, n)[0] == _binary_power(m, n)
+
+
 def _direct_probability(tau, params, selection):
     """The flip probability continued along the whole path, never composed.
 
@@ -590,38 +672,16 @@ class TestLoopComposition:
                         tau, p, sel
                     )
 
-    def test_transposed_power_rounds_as_right_multiplication(self):
-        # The composition F (G F)^n taken by right multiplication, as it
-        # was before the left-multiplying kernel, against the kernel's
-        # (f g)^n f on the transposes f = F^T, g = G^T: bit for bit, transposed.
-        def mul(x, y):
-            return (
-                x[0] * y[0] + x[1] * y[2],
-                x[0] * y[1] + x[1] * y[3],
-                x[2] * y[0] + x[3] * y[2],
-                x[2] * y[1] + x[3] * y[3],
-            )
-
-        def transpose(x):
-            return (x[0], x[2], x[1], x[3])
-
-        def unitary(rng):
-            q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-            return tuple(q.ravel().tolist())
-
+    def test_composed_power_matches_reference_product(self):
+        # F (G F)^n with the closed-form power, against the same product
+        # with the power taken by binary powering, on unitary F and G.
         rng = np.random.default_rng(29)
         for _ in range(300):
-            f, g = unitary(rng), unitary(rng)
+            f, g = _random_u2(rng), _random_u2(rng)
             n = int(rng.integers(1, 5001))
-            want, m, e = f, mul(g, f), n
-            while e:
-                if e & 1:
-                    want = mul(want, m)
-                e >>= 1
-                if e:
-                    m = mul(m, m)
-            got = heun._power_times(heun._mat_mul(transpose(f), transpose(g)), n, transpose(f))
-            assert transpose(got) == want, n
+            want = _mul(f, _binary_power(_mul(g, f), n))
+            got = _mul(f, heun._floquet_power(_mul(g, f), n)[0])
+            assert _gap(got, want) < 4e-15 * n, n
 
     def test_cost_does_not_grow_with_the_horizon(self, monkeypatch):
         calls = []

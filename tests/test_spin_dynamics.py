@@ -229,23 +229,6 @@ def _half_angle_gauge_factor(tau, k):
     return complex(re, -sign * im)
 
 
-def _column_power_times(col, m, v):
-    """U^m v by binary powering, U = [[a, -conj(b)], [b, conj(a)]] from its column (a, b).
-
-    The SU(2) column form the ODE side once composed with, kept as the
-    reference for the Heun side's 2 x 2 kernel `heun._power_times`.
-    """
-    a, b = col
-    v1, v2 = v
-    while m:
-        if m & 1:
-            v1, v2 = a * v1 - b.conjugate() * v2, b * v1 + a.conjugate() * v2
-        m >>= 1
-        if m:
-            a, b = a * a - b.conjugate() * b, b * a + a.conjugate() * b
-    return v1, v2
-
-
 def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
     """(lab, rot, p_flip, polarization) composed one sample at a time.
 
@@ -326,40 +309,6 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
         a.view(np.uint64), b.view(np.uint64)
     )
-
-
-class TestPowerKernel:
-    """`heun._power_times` on SU(2) powers, against the column form."""
-
-    @staticmethod
-    def _check(a, b, v, m):
-        want = _column_power_times((a, b), m, v)
-        got = heun._power_times((a, -b.conjugate(), b, a.conjugate()), m, (v[0], 0j, v[1], 0j))
-        assert got[1] == got[3] == 0
-        # Bit for bit up to the sign of exact zeros (adding 0.0 folds -0.0
-        # into +0.0): x + (-p) and x - p round a zero result differently.
-        assert same_bits(np.array([got[0], got[2]]) + 0.0, np.array(want) + 0.0), (a, b, v, m)
-
-    def test_random_su2_cases(self):
-        rng = np.random.default_rng(23)
-        for _ in range(500):
-            z = rng.normal(size=8)
-            col = z[:4] / np.linalg.norm(z[:4])
-            v = z[4:] / np.linalg.norm(z[4:])
-            self._check(
-                complex(col[0], col[1]),
-                complex(col[2], col[3]),
-                (complex(v[0], v[1]), complex(v[2], v[3])),
-                int(rng.integers(1, 5001)),
-            )
-
-    def test_resonance_cases_with_exact_zeros(self):
-        # At zero detuning U(T) = [[c, -i s], [-i s, c]]: real and
-        # imaginary parts vanish exactly all the way through.
-        for angle in (0.3, 1.7, 2.9):
-            a, b = complex(math.cos(angle), 0.0), complex(0.0, -math.sin(angle))
-            for m in (1, 2, 7, 64, 1001):
-                self._check(a, b, (1.0 + 0j, 0j), m)
 
 
 def largest_gap(a, b) -> float:
