@@ -187,9 +187,10 @@ def load_scenario(path: str, allow_grids: bool = False) -> Scenario:
     tol = _parse_float(pairs, "tol", default=sd.DEFAULT_TOL)
     if not (sd.MIN_TOL <= tol <= 1e-4):
         raise ConfigError(f"tol must lie in [{sd.MIN_TOL:g}, 1e-4], got {tol!r}")
-    spin_j = _parse_float(pairs, "spin_j", default=0.5)
-    if spin_j < 0 or abs(2 * spin_j - round(2 * spin_j)) > 1e-12 or spin_j > wigner.MAX_J:
-        raise ConfigError(f"spin_j must be a half-integer in [0, {wigner.MAX_J}], got {spin_j!r}")
+    try:
+        spin_j = round(2.0 * wigner._check_j(_parse_float(pairs, "spin_j", default=0.5))) / 2.0
+    except DomainError as exc:
+        raise ConfigError(f"spin_j: {exc}")
 
     re1 = _parse_float(pairs, "initial_re1", default=1.0)
     im1 = _parse_float(pairs, "initial_im1", default=0.0)
@@ -352,13 +353,8 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
             u = sd.propagator(scenario.tau_max, scenario.params, tol=scenario.tol)
             angles = wigner.euler_angles(u)
             j = scenario.spin_j
-            p_top = (
-                wigner.transition_probability_j(j, j, j - 1.0, angles.theta)
-                if j >= 1.0
-                else wigner.transition_probability_j(j, j, -j, angles.theta)
-                if j > 0.0
-                else 0.0
-            )
+            # j - 1 = -j at j = 1/2: the spin-1/2 flip.
+            p_top = wigner.transition_probability_j(j, j, j - 1.0, angles.theta) if j > 0.0 else 0.0
         except EllipspinError as exc:
             print(f"runtime failure in spin-J report: {exc}", file=sys.stderr)
             return EXIT_RUNTIME

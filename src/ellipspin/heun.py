@@ -620,13 +620,7 @@ def continue_along_path(
     return Continuation(v1=v1, dv1=dv1, v2=v2, dv2=dv2, wronskian_drift=drift)
 
 
-def coordinate_path(
-    tau: float,
-    k: float,
-    step_fraction: float = DEFAULT_STEP_FRACTION,
-    *,
-    start: float = 0.0,
-) -> list[complex]:
+def coordinate_path(tau: float, k: float, *, start: float = 0.0) -> list[complex]:
     """Waypoints of the squared coordinate from time ``start`` to ``tau``.
 
     Spacing adapts to the local speed of the coordinate and to the
@@ -648,7 +642,7 @@ def coordinate_path(
     while t < tau:
         dist = _min_singular_distance(out[-1], points)
         speed = abs(2.0 * z * dz)
-        dt = 0.4 * step_fraction * dist / max(speed, 1e-9)
+        dt = 0.4 * DEFAULT_STEP_FRACTION * dist / max(speed, 1e-9)
         dt = min(max(dt, 1e-4), 0.2, tau - t)
         t += dt
         z, dz = _z_and_rate(t, k)
@@ -682,11 +676,7 @@ def _floquet_power(m: tuple[complex, ...], n: int) -> tuple[tuple[complex, ...],
 
 
 def flip_probability_heun(
-    tau: float,
-    params: sd.SimParams,
-    selection: str = DEFAULT_SELECTION,
-    n_terms: int = DEFAULT_N_TERMS,
-    step_fraction: float = DEFAULT_STEP_FRACTION,
+    tau: float, params: sd.SimParams, selection: str = DEFAULT_SELECTION
 ) -> float:
     """Spin-flip probability recomputed through the Fuchsian reduction.
 
@@ -714,13 +704,13 @@ def flip_probability_heun(
     loop_time = 4.0 * quarter_period(k)
     n, r = divmod(tau, loop_time)
     n = int(n)
-    path = coordinate_path(r, k, step_fraction)
-    cont = continue_along_path(data, path, n_terms=n_terms, step_fraction=step_fraction)
+    path = coordinate_path(r, k)
+    cont = continue_along_path(data, path)
     v2 = cont.v2
     if n > 0:
-        rest = coordinate_path(loop_time, k, step_fraction, start=r)
+        rest = coordinate_path(loop_time, k, start=r)
         rest[-1] = path[0]
-        g = continue_along_path(data, rest, n_terms=n_terms, step_fraction=step_fraction)
+        g = continue_along_path(data, rest)
         # Fundamental matrices [[v1, v2], [v1', v2']]: F to r, G on round
         # the loop, and the loop matrix G F from the start.
         f11, f12, f21, f22 = cont.v1, cont.v2, cont.dv1, cont.dv2

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _dopri
+from ._dopri import MIN_TOL
 from .elliptic import EllipticTriple, _jacobi_grid, jacobi, quarter_period
 from .errors import DomainError, IntegrationError
 
@@ -32,10 +33,6 @@ BOHR_MAGNETON = 9.2740100783e-24
 HBAR = 1.054571817e-34
 
 DEFAULT_TOL = 1e-10
-# Smallest accepted integrator tolerance.  Below double roundoff the
-# error control can no longer be satisfied and shrinks the step until the
-# run crawls (tol = 1e-22 takes seconds at tau 2; 1e-23 runs for minutes).
-MIN_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -281,7 +278,7 @@ def _pulse_end(params: SimParams, tol: float) -> float:
     At k = 1, dn = sech, so the generator a sigma_x + (D/w) sech(tau) sigma_z
     differs from a sigma_x past tau_c = ln(200 |D/w| / tol) by a term whose
     integral is at most 2 |D/w| e^(-tau_c) = tol / 100.  Every other case,
-    and a tol the integrator will reject, has no tail.
+    and a tol that is not positive, has no tail.
     """
     d = abs(params.delta_over_omega)
     if params.k < 1.0 or d == 0.0 or not tol > 0.0:
@@ -293,13 +290,21 @@ def _rotation(theta: np.ndarray, axis: tuple[float, float, float], col) -> np.nd
     """exp(-i theta n.sigma) (c1, c2) for every angle in ``theta``, as an (n, 2) array.
 
     That is cos(theta) (c1, c2) + sin(theta) (t1, t2), (t1, t2) = -i n.sigma (c1, c2).
+    ``col`` holds two numbers or two arrays as long as ``theta``.  Each
+    output column is summed in place, which keeps the temporaries to two
+    arrays of that length.
     """
     nx, ny, nz = axis
-    c1, c2 = col
-    t1 = -1j * nz * c1 + complex(-ny, -nx) * c2
-    t2 = complex(ny, -nx) * c1 + 1j * nz * c2
+    rows = ((-1j * nz, complex(-ny, -nx)), (complex(ny, -nx), 1j * nz))  # of -i n.sigma
     c, s = np.cos(theta), np.sin(theta)
-    return np.column_stack([c * c1 + s * t1, c * c2 + s * t2])
+    out = np.empty((len(theta), 2), dtype=complex)
+    for j, (x1, x2) in enumerate(rows):
+        t = x1 * col[0]
+        t += x2 * col[1]
+        t *= s
+        np.multiply(c, col[j], out=out[:, j])
+        out[:, j] += t
+    return out
 
 
 def _rotating_states(
@@ -311,16 +316,20 @@ def _rotating_states(
     through dn, so with tau = n T + r, 0 <= r < T (see `_period`), the
     propagator is U(tau) = U(r) U(T)^n.  At k = 1 off resonance the pulse
     has passed by `_pulse_end`'s tau_c, and each later U(tau) is
-    exp(-i a sigma_x (tau - tau_c)) U(tau_c).
+    exp(-i a sigma_x (tau - tau_c)) U(tau_c); a pulse has no period, so
+    there r = tau.
 
-    One integration from (1, 0) over the sorted offsets r_i up to tau_c,
-    with T (or tau_c) appended when some sample lies beyond, gives the
-    first column (a, b) of every U(r_i) and of U(T) (or U(tau_c)).  The
-    generator is traceless Hermitian, so each propagator is
-    [[a, -conj(b)], [b, conj(a)]] exactly.  U(T) is the rotation
-    cos(phi) I - i sin(phi) n.sigma, w = (-Im b, Re b, -Im a),
-    phi = atan2(|w|, Re a), n = w / |w|, so U(T)^n psi0 is the rotation by
-    n phi: unitary to roundoff at any n.  Nothing is renormalized.
+    Every sample maps to its integrated time min(r_i, tau_c).  One
+    integration from (1, 0) over the distinct such times, with T appended
+    when some sample lies a period or more out, gives the first column
+    (a, b) of U(min(r_i, tau_c)) for every sample and of U(T).  One
+    rotation about x by a max(tau_i - tau_c, 0), exactly 0 before tau_c,
+    then carries each column past the pulse.  The generator is traceless
+    Hermitian, so each propagator is [[a, -conj(b)], [b, conj(a)]]
+    exactly.  U(T) is the rotation cos(phi) I - i sin(phi) n.sigma,
+    w = (-Im b, Re b, -Im a), phi = atan2(|w|, Re a), n = w / |w|, so
+    U(T)^n psi0 is the rotation by n phi: unitary to roundoff at any n.
+    Nothing is renormalized.
 
     ``taus`` is non-decreasing and starts at 0.  Returns an (n, 2)
     complex array.
@@ -335,34 +344,24 @@ def _rotating_states(
         msg = f"tau = {float(taus[-1])!r} is 2^52 or more periods of {cycle!r}"
         raise IntegrationError(msg + ", where doubles lie half a period apart", 0.0)
     turns, offsets = np.divmod(taus, period)
-    order = np.argsort(offsets, kind="stable")
-    offsets = offsets[order]
-    cut = int(np.searchsorted(offsets, tau_c, side="right"))
-    grid = offsets[:cut].tolist()
-    past = offsets[cut:] - tau_c
-    del offsets
+    # Every distinct integrated time min(r_i, tau_c) once, in order.
+    times, index = np.unique(np.minimum(offsets, tau_c), return_inverse=True)
+    grid = times.tolist()
+    del offsets, times
     whole = turns[-1] > 0.0  # some sample lies a period or more out
     if whole:
         grid.append(period)
-    elif len(past):
-        grid.append(tau_c)
     cols = _dopri.integrate(_bind_rotating(params), (1.0 + 0j, 0j), grid, tol)
     del grid
     a, b = cols.pop() if whole else (1.0 + 0j, 0j)
-    if len(past):
-        # From here on, the first columns of U(tau) past the pulse.
-        past = _rotation(a_x * past, (1.0, 0.0, 0.0), cols.pop())
 
-    # The list of per-sample tuples is the largest object here: free it
-    # before any other per-sample array exists.
-    sorted_cols = np.array(cols, dtype=complex)
+    # The list of per-time tuples is the largest object here: free it
+    # before any per-sample array exists.
+    out = np.array(cols, dtype=complex)
     del cols
-    if len(past):
-        sorted_cols = np.concatenate([sorted_cols, past])
-    del past
-    out = np.empty_like(sorted_cols)
-    out[order] = sorted_cols
-    del sorted_cols, order
+    out = out[index]  # every sample's first column of U(min(r_i, tau_c))
+    del index
+    out = _rotation(a_x * np.maximum(taus - tau_c, 0.0), (1.0, 0.0, 0.0), out.T)
     w = (-b.imag, b.real, -a.imag)
     size = math.hypot(*w)
     axis = tuple(x / size for x in w) if size > 0.0 else (0.0, 0.0, 0.0)
@@ -390,15 +389,17 @@ def evolve(
     the flip probability is |psi2|^2, and the polarization vector is the
     Pauli expectation in the lab frame.  Norms are never renormalized.
 
-    The integrator covers at most one period T = 2K(k) of the generator,
-    however long the grid: each state is U(tau mod T) U(T)^n psi0, the
-    power one closed-form rotation (see `_rotating_states`).  At k = 1
-    the drive is a single pulse: at resonance it drops out and k = 0's
-    period T = pi serves; off resonance the integration stops at
-    tau_c = ln(200 |D/w| / tol), and later samples rotate about sigma_x in
-    closed form.  A grid reaching 2^52 periods raises IntegrationError.
-    Everything after the integrator works on the whole grid at once, with
-    one grid descent for the gauge factor.
+    The integrator covers one bounded stretch, however long the grid:
+    each sample maps to its time min(tau mod T, tau_c) in it, and
+    closed-form rotations carry the rest (see `_rotating_states`).  T is
+    the generator's period 2K(k); at k = 1 the drive is a single pulse,
+    which at resonance drops out, so k = 0's period T = pi serves.  Off
+    resonance at k = 1 there is no period, and the integration stops at
+    tau_c = ln(200 |D/w| / tol), past which every sample turns about
+    sigma_x; below k = 1, tau_c is infinite.  A grid reaching 2^52
+    periods raises IntegrationError.  Everything after the integrator
+    works on the whole grid at once, with one grid descent for the gauge
+    factor.
     """
     initial.require_normalized()
     taus = _validate_grid(tau_grid)
@@ -447,13 +448,14 @@ def propagator(tau: float, params: SimParams, tol: float = DEFAULT_TOL) -> Propa
     At a fixed local tolerance the column's unitarity defect grows by
     about that tolerance per radian the state turns through, and the
     rotating-frame rhs turns it at most at the Rabi rate.  `evolve`
-    integrates at most one period T and composes the rest unitarily, so
-    the column is computed at ``tol / max(1, min(tau, T) * rabi_over_omega)``,
+    integrates at most one period T, or up to the pulse end tau_c at k = 1
+    (see `_pulse_end`), and composes the rest unitarily, so the column is
+    computed at ``tol / max(1, min(tau, T, tau_c) * rabi_over_omega)``,
     floored at `MIN_TOL`, below which the error control cannot be met: unitary
     within about ``tol``, at the same cost, at any horizon `evolve` accepts.
     """
     tau = require_tau(tau)
-    stretch = min(tau, _period(params)) * params.rabi_over_omega
+    stretch = min(tau, _period(params), _pulse_end(params, tol)) * params.rabi_over_omega
     local_tol = min(tol, max(MIN_TOL, tol / max(1.0, stretch)))
     grid = [0.0, tau] if tau > 0.0 else [0.0]
     a, b = evolve(SPIN_UP, params, grid, local_tol).lab[-1].tolist()

@@ -319,6 +319,24 @@ class TestSimulate:
         assert proc.returncode == 0, proc.stderr
         assert b"theta=" in proc.stderr
 
+    def test_spin_j_near_a_half_integer_reports_as_that_half_integer(self, tmp_path):
+        # spin_j = 1e-13 once passed validation unsnapped and reported
+        # p_top_transition=1, where spin_j = 0 reports 0.
+        reports = {}
+        for spin_j in ("0", "1e-13", "0.5", "0.5000000000001"):
+            cfg = tmp_path / "w.cfg"
+            cfg.write_text(
+                RESONANCE_CONFIG.replace("outputs = trajectory", "outputs = trajectory,wigner")
+                .replace("n_samples = 201", "n_samples = 5")
+                .replace("spin_j = 0.5", f"spin_j = {spin_j}")
+            )
+            assert cli.load_scenario(str(cfg)).spin_j == round(2.0 * float(spin_j)) / 2.0
+            rc, reports[spin_j] = run_in_process("simulate", str(cfg), "-o", str(tmp_path / "w.csv"))
+            assert rc == 0, reports[spin_j]
+        assert reports["1e-13"] == reports["0"]
+        assert reports["0"].endswith(" p_top_transition=0\n")
+        assert reports["0.5000000000001"] == reports["0.5"]
+
     @pytest.mark.parametrize(
         "key, value",
         [

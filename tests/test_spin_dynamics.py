@@ -442,6 +442,37 @@ class TestPeriodComposition:
         traj = evolve(self.TILTED, p, [0.0])
         assert traj.rot.tolist() == [[self.TILTED.psi1, self.TILTED.psi2]]
 
+    @pytest.mark.parametrize(
+        "k, delta, ends",
+        [
+            (0.6, 0.2, [0.5, 1.0, 1.5, 2.0, 7.1]),  # in periods T: 0, T, 2T share r = 0
+            (1.0, 0.0, [0.5, 1.0, 3.0]),  # T = pi
+            (1.0, 0.2, [0.5, 1.0, 1.5, 2.0]),  # in units of tau_c
+            (1.0, 0.2, [0.5, 1.0]),
+        ],
+    )
+    def test_integrator_gets_each_time_once(self, monkeypatch, k, delta, ends):
+        # Sorted offsets once reached the integrator with repeats: 0, T
+        # and 2T each gave r = 0, and tau_c was appended after a sample
+        # already at tau_c.
+        seen = []
+        integrate = _dopri.integrate
+
+        def recording(rhs, y0, sample_taus, tol):
+            seen.append(list(sample_taus))
+            return integrate(rhs, y0, sample_taus, tol)
+
+        monkeypatch.setattr(_dopri, "integrate", recording)
+        p = SimParams.from_detuning(0.3, delta, k)
+        tau_c = sd._pulse_end(p, sd.DEFAULT_TOL)
+        unit = tau_c if tau_c < math.inf else sd._period(p)
+        taus = np.array([0.0] + [unit * x for x in ends])
+        traj = evolve(self.TILTED, p, taus)
+        (grid,) = seen
+        assert grid[0] == 0.0 and all(x < y for x, y in zip(grid, grid[1:]))
+        assert sum(t >= tau_c for t in grid) <= 1
+        assert np.max(np.abs(traj.rot - _scalar_evolve(self.TILTED, p, taus)[1])) <= GRID_BOUND
+
     def test_cost_does_not_grow_with_the_horizon(self, monkeypatch):
         # 88,525 rhs calls when every period up to tau 2000 was integrated.
         counts = _counting_rhs(monkeypatch)
@@ -608,13 +639,15 @@ def _assembled_propagator(tau, params, tol=sd.DEFAULT_TOL):
     """The lab propagator as assembled before it read `evolve`'s last sample.
 
     The rotating-frame column from (1, 0) at the tolerance tightened for
-    the one integrated stretch, min(tau, T) with T the generator's period,
-    then products with the scalar gauge factor f: [[f a, -f conj(b)],
-    [conj(f) b, conj(f) conj(a)]].
+    the one integrated stretch, min(tau, T, tau_c) with T the generator's
+    period and tau_c the end of the k = 1 pulse, then products with the
+    scalar gauge factor f: [[f a, -f conj(b)], [conj(f) b, conj(f) conj(a)]].
     """
     k = 0.0 if params.k == 1.0 and params.delta_over_omega == 0.0 else params.k
     period = 2.0 * quarter_period(k) if k < 1.0 else math.inf
-    local_tol = tol / max(1.0, min(tau, period) * params.rabi_over_omega)
+    d = abs(params.delta_over_omega)
+    pulse_end = max(0.0, math.log(200.0 * d / tol)) if params.k == 1.0 and d else math.inf
+    local_tol = tol / max(1.0, min(tau, period, pulse_end) * params.rabi_over_omega)
     col = sd._rotating_states(params, (1.0 + 0j, 0j), np.array([0.0, tau]), local_tol)
     a, b = complex(col[-1, 0]), complex(col[-1, 1])
     f = _half_angle_gauge_factor(tau, params.k)
@@ -673,6 +706,19 @@ class TestPropagator:
             counts["rhs"] = 0
             propagator(tau, p)
             per_horizon.append(counts["rhs"])
+        assert 0 < per_horizon[0] == per_horizon[1]
+
+    def test_cost_past_the_pulse_does_not_grow_with_the_horizon(self, monkeypatch):
+        # When the stretch ignored the pulse end, the local tol fell with
+        # the horizon at k = 1: 2,371 rhs calls at tau 60, 16,309 at 1e6.
+        counts = _counting_rhs(monkeypatch)
+        p = SimParams.from_detuning(0.3, 0.2, 1.0)
+        per_horizon = []
+        for tau in (60.0, 1e6):
+            counts["rhs"] = 0
+            u = propagator(tau, p)
+            per_horizon.append(counts["rhs"])
+            assert u.unitarity_defect() < 2e-10
         assert 0 < per_horizon[0] == per_horizon[1]
 
     def test_unitary_at_a_far_horizon(self, monkeypatch):
@@ -868,7 +914,7 @@ class TestTolDomain:
     # One check in the integrator covers every entry.  Before it, the
     # fundamental pair ended in ZeroDivisionError, TypeError or
     # IntegrationError.
-    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, 1e-16, 1e-300])
     @pytest.mark.parametrize("entry", sorted(_TOL_ENTRIES))
     def test_integrating_entries_reject_non_positive_tol(self, entry, tol):
         with pytest.raises(DomainError, match="tol must be positive"):
