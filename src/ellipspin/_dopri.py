@@ -117,8 +117,10 @@ def integrate(
     while t < t_end:
         final_step = h >= t_end - t
         if final_step:
+            # The caller's grid sizes this step, not the error control: a
+            # horizon shorter than the underflow bound still integrates.
             h = t_end - t
-        if h < 1e-14 * max(1.0, abs(t)):
+        elif h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError("step size underflow", last_good_tau=t)
 
         k1_1, k1_2 = f1a, f2a

@@ -7,7 +7,8 @@ and ``elliptic-table <k> <u_max> <n>``.  Configurations are flat
 given configuration always produces byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 runtime/integration failure.
+3 runtime/integration failure.  A command signals a failure by raising
+`Failure`; `main` alone prints its one stderr line and returns its code.
 """
 
 from __future__ import annotations
@@ -57,10 +58,34 @@ _KNOWN_KEYS = set(_DIMENSIONLESS_KEYS) | set(_PHYSICAL_KEYS) | set(_OTHER_KEYS)
 MAX_ROWS = 1_000_000
 
 
-class ConfigError(Exception):
+class Failure(Exception):
+    """A failed run: the one line `main` prints on stderr, and its exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+class ConfigError(Failure):
     def __init__(self, message: str, line: int = 0, column: int = 0):
         place = f" (line {line}, column {column})" if line else ""
-        super().__init__(f"{message}{place}")
+        super().__init__(EXIT_CONFIG, f"config error: {message}{place}")
+
+
+@contextlib.contextmanager
+def _failing(code: int, prefix: str):
+    """Turn a package error raised in the block into a `Failure`.
+
+    An `IntegrationError` is an integration failure with exit code 3,
+    whoever called; any other `EllipspinError` is ``prefix: <error>`` with
+    exit code ``code``.
+    """
+    try:
+        yield
+    except IntegrationError as exc:
+        raise Failure(EXIT_RUNTIME, f"integration failure: {exc}") from exc
+    except EllipspinError as exc:
+        raise Failure(code, f"{prefix}: {exc}") from exc
 
 
 @dataclass
@@ -250,18 +275,18 @@ def _fmt(x: float) -> str:
 _CHUNK_ROWS = 256
 
 
-def _write_rows(output: str | None, header: str, blocks) -> int:
+def _write_rows(output: str | None, header: str, blocks) -> None:
     """Write ``header`` and then the rows of each block in ``blocks`` as CSV lines.
 
     A block is a sequence of equal-length float columns, where a scalar
     stands for a column of that value.  Its rows are formatted
     `_CHUNK_ROWS` at a time by `_csv.format_rows`, with the bytes of one
     ``_fmt(x)`` per value.  The CSV goes to the file ``output``, opened and
-    closed here, or to stdout when ``output`` is None.  Returns the exit
-    code: EXIT_CONFIG when ``output`` cannot be opened and EXIT_RUNTIME
-    when writing fails, each with one line on stderr.  A failed write
-    removes ``output`` when it is a regular file, so no cut-short CSV is
-    left behind; a device or pipe is never removed.
+    closed here, or to stdout when ``output`` is None.  Raises ConfigError
+    when ``output`` cannot be opened, and a `Failure` with exit code 3 when
+    writing fails.  A failed write removes ``output`` when it is a regular
+    file, so no cut-short CSV is left behind; a device or pipe is never
+    removed.
     """
     try:
         if output is None:
@@ -270,8 +295,7 @@ def _write_rows(output: str | None, header: str, blocks) -> int:
             target = open(output, "w", encoding="ascii", newline="\n")
             regular = stat.S_ISREG(os.fstat(target.fileno()).st_mode)
     except OSError as exc:
-        print(f"config error: cannot write output {output!r}: {exc.strerror}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot write output {output!r}: {exc.strerror}")
     try:
         with target as stream:
             stream.write(header + "\n")
@@ -285,15 +309,13 @@ def _write_rows(output: str | None, header: str, blocks) -> int:
         raise  # the reader left; `main` ends the run quietly
     except OSError as exc:
         name = output if output is not None else "<stdout>"
-        print(f"runtime failure: cannot write output {name!r}: {exc.strerror or exc}", file=sys.stderr)
         if regular:
             with contextlib.suppress(OSError):
                 os.remove(output)
         if output is None:
             # What stdout still buffers would fail again at shutdown.
             _silence_stdout()
-        return EXIT_RUNTIME
-    return EXIT_OK
+        raise Failure(EXIT_RUNTIME, f"runtime failure: cannot write output {name!r}: {exc.strerror or exc}")
 
 
 def _silence_stdout() -> None:
@@ -301,22 +323,11 @@ def _silence_stdout() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def cmd_simulate(config_path: str, output: str | None) -> int:
-    try:
-        scenario = load_scenario(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+def cmd_simulate(config_path: str, output: str | None) -> None:
+    scenario = load_scenario(config_path)
     taus = np.linspace(0.0, scenario.tau_max, scenario.n_samples)
-    try:
+    with _failing(EXIT_CONFIG, "config error"):
         traj = sd.evolve(scenario.initial, scenario.params, taus, tol=scenario.tol)
-    except IntegrationError as exc:
-        print(f"integration failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except EllipspinError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     lab, pol = traj.lab, traj.polarization
     columns = (
@@ -331,17 +342,12 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
         pol[:, 2],
         traj.norm_drift,
     )
-    rc = _write_rows(output, "tau,re_psi1,im_psi1,re_psi2,im_psi2,p_flip,px,py,pz,norm_drift", [columns])
-    if rc != EXIT_OK:
-        return rc
+    _write_rows(output, "tau,re_psi1,im_psi1,re_psi2,im_psi2,p_flip,px,py,pz,norm_drift", [columns])
 
     # Extra requested outputs go to stderr so the CSV bytes stay canonical.
     if "heun_check" in scenario.outputs:
-        try:
+        with _failing(EXIT_RUNTIME, "runtime failure in reduction cross-check"):
             p_series = heun.flip_probability_heun(scenario.tau_max, scenario.params)
-        except EllipspinError as exc:
-            print(f"runtime failure in reduction cross-check: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
         p_ode = float(traj.p_flip[-1])
         print(
             f"heun_check tau={_fmt(scenario.tau_max)}: ode={_fmt(p_ode)} "
@@ -349,31 +355,22 @@ def cmd_simulate(config_path: str, output: str | None) -> int:
             file=sys.stderr,
         )
     if "wigner" in scenario.outputs:
-        try:
+        with _failing(EXIT_RUNTIME, "runtime failure in spin-J report"):
             u = sd.propagator(scenario.tau_max, scenario.params, tol=scenario.tol)
             angles = wigner.euler_angles(u)
             j = scenario.spin_j
             # j - 1 = -j at j = 1/2: the spin-1/2 flip.
             p_top = wigner.transition_probability_j(j, j, j - 1.0, angles.theta) if j > 0.0 else 0.0
-        except EllipspinError as exc:
-            print(f"runtime failure in spin-J report: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
         print(
             f"wigner tau={_fmt(scenario.tau_max)}: phi={_fmt(angles.phi)} "
             f"theta={_fmt(angles.theta)} psi={_fmt(angles.psi)} "
             f"p_top_transition={_fmt(p_top)}",
             file=sys.stderr,
         )
-    return EXIT_OK
 
 
-def cmd_sweep(config_path: str, output: str | None) -> int:
-    try:
-        scenario = load_scenario(config_path, allow_grids=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+def cmd_sweep(config_path: str, output: str | None) -> None:
+    scenario = load_scenario(config_path, allow_grids=True)
     grid = [
         (k, d, h)
         for k in scenario.k_grid
@@ -381,74 +378,61 @@ def cmd_sweep(config_path: str, output: str | None) -> int:
         for h in scenario.h_grid
     ]
     taus = np.linspace(0.0, scenario.tau_max, scenario.n_samples)
-    try:
+    with _failing(EXIT_CONFIG, "config error"):
         all_pflip = []
         for k, d, h in grid:
             params = sd.SimParams.from_detuning(h, d, k)
             all_pflip.append(sd.evolve(scenario.initial, params, taus, tol=scenario.tol).p_flip)
-    except IntegrationError as exc:
-        print(f"integration failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except DomainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    return _write_rows(
+    _write_rows(
         output,
         "k,delta_over_omega,h_over_omega,tau,p_flip",
         ((k, d, h, taus, pf) for (k, d, h), pf in zip(grid, all_pflip)),
     )
 
 
-def cmd_verify(suite: str, tol: float) -> int:
+def cmd_verify(suite: str, tol: float) -> None:
+    if not (sd.MIN_TOL <= tol < math.inf):
+        raise ConfigError(f"tol must be finite and at least {sd.MIN_TOL:g}, got {tol!r}")
     if suite not in ("all", *verify.SUITES):
-        print(
-            f"config error: unknown suite {suite!r}; choose from "
-            f"{('all', *verify.SUITES)}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    try:
+        raise ConfigError(f"unknown suite {suite!r}; choose from {('all', *verify.SUITES)}")
+    with _failing(EXIT_RUNTIME, "runtime failure"):
         results = verify.run_suite(suite, tol=tol)
-    except EllipspinError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    failed = [r for r in results if not r.passed]
     for r in results:
         print(r.line())
+    failed = ", ".join(r.name for r in results if not r.passed)
     if failed:
-        names = ", ".join(r.name for r in failed)
-        print(f"FAILED checks: {names}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        raise Failure(EXIT_VERIFY_FAILED, f"FAILED checks: {failed}")
     print(f"all {len(results)} checks passed")
-    return EXIT_OK
 
 
-def cmd_elliptic_table(k: float, u_max: float, n: int, output: str | None) -> int:
+def cmd_elliptic_table(k: float, u_max: float, n: int, output: str | None) -> None:
     if not (0.0 <= k <= 1.0):
-        print(f"config error: k must lie in [0, 1], got {k!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"k must lie in [0, 1], got {k!r}")
     if n < 2:
-        print(f"config error: need at least 2 rows, got {n!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"need at least 2 rows, got {n!r}")
     if n > MAX_ROWS:
-        print(f"config error: {n} rows exceed the budget of {MAX_ROWS} rows", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{n} rows exceed the budget of {MAX_ROWS} rows")
     if not (math.isfinite(u_max) and u_max > 0.0):
-        print(f"config error: u_max must be positive, got {u_max!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"u_max must be positive, got {u_max!r}")
 
     u = np.linspace(0.0, u_max, n)
     trip = _jacobi_grid(u, k)
-    return _write_rows(
+    _write_rows(
         output,
         "u,sn,cn,dn,res_sncn,res_dnsn",
         [(u, trip.sn, trip.cn, trip.dn, *jacobi_identity_residuals(trip, k))],
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, its subcommands' too, are one config error line."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellipspin",
         description="Spin dynamics in an elliptically modulated magnetic field.",
     )
@@ -475,27 +459,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
-            return cmd_simulate(args.config, args.output)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, args.output)
-        if args.command == "verify":
-            if not (sd.MIN_TOL <= args.tol < math.inf):
-                print(
-                    f"config error: tol must be finite and at least {sd.MIN_TOL:g}, got {args.tol!r}",
-                    file=sys.stderr,
-                )
-                return EXIT_CONFIG
-            return cmd_verify(args.suite, args.tol)
-        if args.command == "elliptic-table":
-            return cmd_elliptic_table(args.k, args.u_max, args.n, args.output)
+            cmd_simulate(args.config, args.output)
+        elif args.command == "sweep":
+            cmd_sweep(args.config, args.output)
+        elif args.command == "verify":
+            cmd_verify(args.suite, args.tol)
+        else:
+            cmd_elliptic_table(args.k, args.u_max, args.n, args.output)
+    except Failure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except BrokenPipeError:
         # Downstream consumer (head, less, ...) closed the stream.
         _silence_stdout()
-        return EXIT_OK
-    return EXIT_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

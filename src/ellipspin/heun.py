@@ -454,12 +454,6 @@ def _taylor_coefficients(
     return a, b
 
 
-def _nearest_other_singular(center: complex, points: Sequence[float]) -> float:
-    dists = [abs(complex(center) - s) for s in points]
-    positive = [d for d in dists if d > 1e-12]
-    return min(positive)
-
-
 def local_series(
     data: HeunData,
     center: complex,
@@ -480,7 +474,7 @@ def local_series(
         raise DomainError(f"exponent_choice must be 0 or 1, got {exponent_choice!r}")
     center = complex(center)
     points = data.singular_points
-    radius = _nearest_other_singular(center, points)
+    radius = _min_singular_distance(center, [s for s in points if abs(center - s) > 1e-12])
 
     second_exponent = {
         0: 1.0 - data.gamma,

@@ -503,8 +503,8 @@ def probability_from_fundamental_pair(
     tau = require_tau(tau)
     rhs = _bind_rotating(params)
     fa0, fb0 = ic_a.psi2, ic_b.psi2
-    da0 = rotating_rhs(0.0, params, ic_a.psi1, ic_a.psi2)[1]
-    db0 = rotating_rhs(0.0, params, ic_b.psi1, ic_b.psi2)[1]
+    da0 = rhs(0.0, ic_a.psi1, ic_a.psi2)[1]
+    db0 = rhs(0.0, ic_b.psi1, ic_b.psi2)[1]
     wronskian0 = fa0 * db0 - fb0 * da0
     if abs(wronskian0) < 1e-13:
         raise DomainError("initial conditions do not span a fundamental system")

@@ -673,6 +673,36 @@ class TestEllipticTable:
         assert b"Traceback" not in proc.stderr and proc.stdout == b""
 
 
+class TestArguments:
+    """A malformed command line is one config error line with exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["simulate"],
+            ["elliptic-table", "abc", "1", "2"],
+            ["elliptic-table", "0.5", "1", "1e3"],
+            ["verify", "--tol", "abc"],
+        ],
+    )
+    def test_one_config_error_line(self, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc, err = run_in_process(*argv)
+        assert rc == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert out.getvalue() == ""
+
+    def test_help_is_unchanged(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert out.getvalue().startswith("usage: ellipspin")
+
+
 class TestUnwritableOutput:
     """`-o` to a path that cannot be opened is a config error, not a traceback."""
 

@@ -931,6 +931,16 @@ class TestIntegratorFailure:
             _dopri.integrate(rhs, (1.0 + 0j, 0.0j), (0.0, 1.0), 1e-10)
         assert 0.0 < err.value.last_good_tau < 1.0
 
+    @pytest.mark.parametrize("tau", [1e-15, 1e-300])
+    def test_horizon_below_the_underflow_bound_integrates(self, tau):
+        # The last step's size comes from the grid, not from a collapsing
+        # error control; it used to be refused as a step size underflow.
+        p = SimParams.from_detuning(0.3, 0.1, 0.5)
+        traj = evolve(spin_up(), p, [0.0, tau])
+        assert traj.p_flip[-1] == pytest.approx((0.3 * tau) ** 2, rel=1e-12, abs=1e-300)
+        assert traj.norm_drift[-1] < 1e-15
+        assert propagator(tau, p).unitarity_defect() < 1e-15
+
 
 class TestIntegratorSampleTimes:
     def test_states_are_python_complex_for_any_grid(self):
