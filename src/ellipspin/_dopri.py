@@ -1,14 +1,17 @@
 """Embedded Dormand-Prince 5(4) integrator for a two-component complex state.
 
-The state is carried as a plain pair of Python complex numbers: the
-systems integrated here are always 2x1, and scalar arithmetic beats any
-array machinery at this size.  Absolute and relative tolerance are both
-set to the same ``tol``, and the step size is whatever that error control
-accepts.  Sample times inside an accepted step come from Shampine's
-quartic continuous extension of the same tableau (Math. Comp. 46 (1986)
-135; Hairer, Norsett and Wanner, Solving ODEs I, section II.6).  It is
-fourth-order accurate everywhere in the step, so sampling never has to
-limit the step size.
+The stepping loop carries the state as a plain pair of Python complex
+numbers: the systems integrated here are always 2x1, and scalar
+arithmetic beats any array machinery at this size.  Absolute and
+relative tolerance are both set to the same ``tol``, and the step size
+is whatever that error control accepts.  Sample times inside an accepted
+step come from Shampine's quartic continuous extension of the same
+tableau (Math. Comp. 46 (1986) 135; Hairer, Norsett and Wanner, Solving
+ODEs I, section II.6).  It is fourth-order accurate everywhere in the
+step, so sampling never has to limit the step size.  The loop only keeps
+the steps that hold a sample; one numpy pass after it reads every sample
+off its step, so the samples never steer the steps and memory follows
+the samples, not the steps.
 
 No renormalization of any kind is applied to the state: norm drift is a
 diagnostic the callers measure, not something to hide.
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, IntegrationError
 
@@ -86,32 +91,29 @@ def integrate(
     y0: tuple[complex, complex],
     sample_taus: Sequence[float],
     tol: float,
-) -> list[tuple[complex, complex]]:
+) -> np.ndarray:
     """Integrate from sample_taus[0] and return the state at every sample time.
 
-    ``sample_taus`` must be non-decreasing.  Raises DomainError unless
-    ``tol`` is at least `MIN_TOL`, and IntegrationError on step-size
-    underflow, carrying the last time reached.  The states are Python
-    complex numbers whatever the type of the sample times.
+    ``sample_taus`` must be non-decreasing; returns an (n, 2) complex array.
+    Raises DomainError unless ``tol`` is at least `MIN_TOL`, and
+    IntegrationError on step-size underflow, carrying the last time reached.
+    ``rhs`` gets a Python float and Python complex numbers whatever the grid.
     """
     if not tol >= MIN_TOL:
         raise DomainError(f"tol must be positive and at least {MIN_TOL:g}, got {tol!r}")
-    # numpy float64 times would make every interpolated state a numpy
-    # scalar, several times slower to compute and to use; the values are
-    # the same.
-    sample_taus = [float(ts) for ts in sample_taus]
-    t = sample_taus[0]
-    t_end = sample_taus[-1]
+    taus = np.asarray(sample_taus, dtype=float)
+    t = float(taus[0])
+    t_end = float(taus[-1])
     y1, y2 = complex(y0[0]), complex(y0[1])
     f1a, f2a = rhs(t, y1, y2)
 
-    out: list[tuple[complex, complex]] = []
-    gi = 0
-    while gi < len(sample_taus) and sample_taus[gi] <= t:
-        out.append((y1, y2))
-        gi += 1
-    if gi >= len(sample_taus):
-        return out
+    # One flat record of seven pairs per accepted step that holds a sample:
+    # (start, h), start state, end state and each power's quartic
+    # coefficients for both components.  The first stands for t0, where
+    # samples take y0.  `nxt` indexes the first sample past t.
+    ends = [t]
+    steps = [t, 1.0, y1, y2, y1, y2] + [0j] * 8
+    nxt = taus.searchsorted(t, "right")
 
     h = min(max(1e-6, tol ** 0.2 / (1.0 + abs(f1a) + abs(f2a))), t_end - t)
     while t < t_end:
@@ -166,31 +168,18 @@ def integrate(
         err = math.hypot(abs(e1) / s1, abs(e2) / s2) / math.sqrt(2.0)
 
         if err <= 1.0:
-            # Emit dense output for sample times inside (t, t + h].  The
-            # final step lands on t_end exactly (t + h can fall an ulp
+            # The final step lands on t_end exactly (t + h can fall an ulp
             # short and would leave an unsteppable sliver behind).
             t_new = t_end if final_step else t + h
-            if gi < len(sample_taus) and sample_taus[gi] < t_new:
+            if taus[nxt] <= t_new:
                 q1_1, q2_1, q3_1, q4_1 = _quartic(h, k1_1, k3_1, k4_1, k5_1, k6_1, k7_1)
                 q1_2, q2_2, q3_2, q4_2 = _quartic(h, k1_2, k3_2, k4_2, k5_2, k6_2, k7_2)
-            while gi < len(sample_taus) and sample_taus[gi] <= t_new:
-                ts = sample_taus[gi]
-                if ts == t_new:
-                    out.append((y1n, y2n))
-                else:
-                    th = (ts - t) / h
-                    out.append(
-                        (
-                            y1 + th * (q1_1 + th * (q2_1 + th * (q3_1 + th * q4_1))),
-                            y2 + th * (q1_2 + th * (q2_2 + th * (q3_2 + th * q4_2))),
-                        )
-                    )
-                gi += 1
+                steps += (t, h, y1, y2, y1n, y2n, q1_1, q1_2, q2_1, q2_2, q3_1, q3_2, q4_1, q4_2)
+                ends.append(t_new)
+                nxt = taus.searchsorted(t_new, "right")
             t = t_new
             y1, y2 = y1n, y2n
             f1a, f2a = k7_1, k7_2
-            if gi >= len(sample_taus):
-                break
 
         if err == 0.0:
             factor = 5.0
@@ -198,5 +187,24 @@ def integrate(
             factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
         h *= factor
 
+    # Each sample's step is the first kept one ending at or after it; a
+    # sample on a step end takes the end state.
+    ends = np.array(ends)
+    steps = np.array(steps, dtype=complex).reshape(-1, 7, 2)
+    j = np.searchsorted(ends, taus)
+    out = steps[j, 2]
+    inner = ends[j] != taus
+    # Every other sample: y + th (q1 + th (q2 + th (q3 + th q4))) in this
+    # order, on real and imaginary parts apart, which gives the values of
+    # the scalar expression on Python complex numbers.  g[:, p] holds the
+    # four parts of pair p.
+    at = j[inner]
+    g = steps.view(float)
+    th = ((taus[inner] - g[at, 0, 0]) / g[at, 0, 2])[:, None]
+    val = g[at, 6] * th
+    for p in (5, 4, 3):
+        val += g[at, p]
+        val *= th
+    val += g[at, 1]
+    out[inner] = val.view(complex)
     return out
-

@@ -51,10 +51,10 @@ _OTHER_KEYS = (
 _KNOWN_KEYS = set(_DIMENSIONLESS_KEYS) | set(_PHYSICAL_KEYS) | set(_OTHER_KEYS)
 
 # Budget for n_samples x runs, and for the rows of `elliptic-table`.  A
-# simulated sample holds about 200 bytes at the run's peak, while `evolve`
-# holds the integrator's states next to its per-sample arrays (from 20,001
-# to 200,001 samples the traced peak grows by 208 bytes per sample and the
-# resident size by 198), so this keeps a run to a few hundred MB.
+# simulated sample holds under 200 bytes at the run's peak, in `evolve`'s
+# per-sample arrays (from 20,001 to 200,001 samples its traced peak grows
+# by 153 bytes per sample and the resident size by about 180), so this
+# keeps a run to a few hundred MB.
 MAX_ROWS = 1_000_000
 
 

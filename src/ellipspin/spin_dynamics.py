@@ -346,21 +346,13 @@ def _rotating_states(
     turns, offsets = np.divmod(taus, period)
     # Every distinct integrated time min(r_i, tau_c) once, in order.
     times, index = np.unique(np.minimum(offsets, tau_c), return_inverse=True)
-    grid = times.tolist()
-    del offsets, times
     whole = turns[-1] > 0.0  # some sample lies a period or more out
     if whole:
-        grid.append(period)
-    cols = _dopri.integrate(_bind_rotating(params), (1.0 + 0j, 0j), grid, tol)
-    del grid
-    a, b = cols.pop() if whole else (1.0 + 0j, 0j)
-
-    # The list of per-time tuples is the largest object here: free it
-    # before any per-sample array exists.
-    out = np.array(cols, dtype=complex)
-    del cols
-    out = out[index]  # every sample's first column of U(min(r_i, tau_c))
-    del index
+        times = np.append(times, period)
+    cols = _dopri.integrate(_bind_rotating(params), (1.0 + 0j, 0j), times, tol)
+    a, b = cols[-1] if whole else (1.0 + 0j, 0j)
+    out = cols[index]  # every sample's first column of U(min(r_i, tau_c))
+    del offsets, times, cols, index
     out = _rotation(a_x * np.maximum(taus - tau_c, 0.0), (1.0, 0.0, 0.0), out.T)
     w = (-b.imag, b.real, -a.imag)
     size = math.hypot(*w)
@@ -397,9 +389,10 @@ def evolve(
     resonance at k = 1 there is no period, and the integration stops at
     tau_c = ln(200 |D/w| / tol), past which every sample turns about
     sigma_x; below k = 1, tau_c is infinite.  A grid reaching 2^52
-    periods raises IntegrationError.  Everything after the integrator
-    works on the whole grid at once, with one grid descent for the gauge
-    factor.
+    periods raises IntegrationError.  The integrator steps on Python
+    scalars and reads every sample off its step in one array pass; all
+    the rest works on the whole grid at once, with one grid descent for
+    the gauge factor.
     """
     initial.require_normalized()
     taus = _validate_grid(tau_grid)
@@ -435,8 +428,7 @@ def evolve_lab_frame(
         off = complex(bx, -by)
         return (-1j * (bz * p1 + off * p2), -1j * (off.conjugate() * p1 - bz * p2))
 
-    states = _dopri.integrate(rhs, (initial.psi1, initial.psi2), taus, tol)
-    return np.array(states, dtype=complex)
+    return _dopri.integrate(rhs, (initial.psi1, initial.psi2), taus, tol)
 
 
 def propagator(tau: float, params: SimParams, tol: float = DEFAULT_TOL) -> Propagator:
@@ -508,7 +500,7 @@ def probability_from_fundamental_pair(
     wronskian0 = fa0 * db0 - fb0 * da0
     if abs(wronskian0) < 1e-13:
         raise DomainError("initial conditions do not span a fundamental system")
-    _, fa = _dopri.integrate(rhs, (ic_a.psi1, ic_a.psi2), (0.0, tau), tol)[-1]
-    _, fb = _dopri.integrate(rhs, (ic_b.psi1, ic_b.psi2), (0.0, tau), tol)[-1]
+    fa = _dopri.integrate(rhs, (ic_a.psi1, ic_a.psi2), (0.0, tau), tol)[-1, 1].item()
+    fb = _dopri.integrate(rhs, (ic_b.psi1, ic_b.psi2), (0.0, tau), tol)[-1, 1].item()
     a = params.h_over_omega
     return a * a * abs(fa * fb0 - fb * fa0) ** 2 / abs(wronskian0) ** 2

@@ -256,7 +256,7 @@ def _scalar_evolve(initial, params, taus, tol=sd.DEFAULT_TOL):
         grid.append(period)
     elif split[-1][1] > tau_c:
         grid.append(tau_c)
-    cols = _dopri.integrate(sd._bind_rotating(params), (1.0 + 0j, 0j), grid, tol)
+    cols = _dopri.integrate(sd._bind_rotating(params), (1.0 + 0j, 0j), grid, tol).tolist()
     a_c, b_c = cols[-1]
     col_at = [None] * len(split)
     for j, i in enumerate(order):
@@ -383,9 +383,7 @@ class TestEvolveOnWholeGrid:
 
 def _direct(initial, params, taus, tol=sd.DEFAULT_TOL):
     """Rotating-frame states integrated straight through the grid, never composed."""
-    return np.array(
-        _dopri.integrate(sd._bind_rotating(params), (initial.psi1, initial.psi2), taus, tol)
-    )
+    return _dopri.integrate(sd._bind_rotating(params), (initial.psi1, initial.psi2), taus, tol)
 
 
 def _counting_rhs(monkeypatch) -> dict:
@@ -523,7 +521,7 @@ class TestPeriodComposition:
         # U(T) = +-I turns about no axis (w = 0): U(T)^n psi0 is (+-1)^n psi0
         # exactly.  The integrator is replaced by one whose every U(r) is I.
         def integrate(rhs, y0, grid, tol):
-            return [(1.0 + 0j, 0j)] * (len(grid) - 1) + [(complex(sign), 0j)]
+            return np.array([(1.0, 0.0)] * (len(grid) - 1) + [(sign, 0.0)], dtype=complex)
 
         monkeypatch.setattr(_dopri, "integrate", integrate)
         p = SimParams.from_detuning(0.3, 0.2, 0.7)
@@ -943,13 +941,59 @@ class TestIntegratorFailure:
 
 
 class TestIntegratorSampleTimes:
-    def test_states_are_python_complex_for_any_grid(self):
-        rhs = sd._bind_rotating(SimParams.from_detuning(0.3, 0.2, 0.7))
+    RHS = staticmethod(sd._bind_rotating(SimParams.from_detuning(0.3, 0.2, 0.7)))
+
+    def test_any_grid_gives_one_state_array(self):
+        seen = set()
+
+        def rhs(t, y1, y2):
+            seen.add((type(t), type(y1), type(y2)))
+            return self.RHS(t, y1, y2)
+
         grid = np.linspace(0.0, 10.0, 501)
         from_array = _dopri.integrate(rhs, (1.0 + 0j, 0j), grid, 1e-10)
         from_list = _dopri.integrate(rhs, (1.0 + 0j, 0j), grid.tolist(), 1e-10)
-        assert from_array == from_list
-        assert all(type(x) is complex for state in from_array for x in state)
+        assert np.array_equal(from_array, from_list)
+        assert from_array.shape == (501, 2) and from_array.dtype == np.complex128
+        # The stepping loop stays on Python scalars, whatever the grid.
+        assert seen == {(float, complex, complex)}
+
+    def test_rows_at_shared_times_are_identical(self):
+        # Each sample is read off the accepted step that holds it, so the
+        # other samples of a grid never change its row.
+        y0 = (complex(0.6, -0.0), complex(-0.0, 0.8))
+        rng = np.random.default_rng(5)
+        coarse = np.linspace(0.0, 10.0, 11)
+        fine = np.union1d(coarse, rng.uniform(0.0, 10.0, 400))
+        repeated = np.sort(np.concatenate([fine, fine[::7], [0.0, 10.0]]))
+        ends = _dopri.integrate(self.RHS, y0, [0.0, 10.0], 1e-10)
+        at_coarse = set()
+        for grid in (coarse, fine, repeated):
+            out = _dopri.integrate(self.RHS, y0, grid, 1e-10)
+            assert out.shape == (len(grid), 2)
+            starts = out[grid == 0.0]
+            assert starts.tobytes() == np.array([y0] * len(starts)).tobytes()
+            assert out[-1].tobytes() == ends[-1].tobytes()
+            same = grid[1:] == grid[:-1]
+            assert np.array_equal(out[1:][same], out[:-1][same])
+            at_coarse.add(out[np.searchsorted(grid, coarse)].tobytes())
+        assert len(at_coarse) == 1
+
+    def test_memory_follows_the_samples_not_the_steps(self):
+        # A strong drive takes thousands of steps for 41 samples.  Keeping
+        # every step's dense-output record peaked at 1,667 KiB here.
+        import tracemalloc
+
+        p = SimParams.from_detuning(20.0, 20.0, 0.9)
+        taus = np.linspace(0.0, 60.0, 41)
+        tracemalloc.start()
+        try:
+            traj = evolve(spin_up(), p, taus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(traj.rot))
+        assert peak <= 256 * 2**10
 
 
 class TestDenseOutput:
