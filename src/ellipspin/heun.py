@@ -176,13 +176,19 @@ class LocalSeries:
 
 @dataclass(frozen=True)
 class Continuation:
-    """Fundamental-system values at the end of a continuation path."""
+    """Fundamental-system values at the end of a continuation path.
+
+    ``steps`` counts the Taylor re-expansion steps and ``terms`` the
+    coefficients each solution summed over all of them.
+    """
 
     v1: complex
     dv1: complex
     v2: complex
     dv2: complex
     wronskian_drift: float
+    steps: int
+    terms: int
 
 
 def _validate_selection(selection: str) -> None:
@@ -424,18 +430,33 @@ def _taylor_coefficients(
     b0: complex,
     b1: complex,
     n_terms: int,
+    r: float | None = None,
 ) -> tuple[list[complex], list[complex]]:
     """Taylor coefficients of two solutions about an ordinary center.
 
     The solutions start from (v, v') = (a0, a1) and (b0, b1) at the
     center.  They obey the same three-term recurrence, so each order's
     weights are formed once and applied to both coefficient lists.
+
+    ``n_terms`` is a cap on the length of both lists.  Given the step
+    length ``r``, the recurrence stops early, after three consecutive
+    orders m (the recurrence looks back three) whose terms
+    (|a_m| + |b_m|) r^m all lie below 2^-56 of the seeds' scale
+    max(|a0|, |a1|, |b0|, |b1|).  r^m is a running product; where it
+    overflows, or a coefficient is nan, no order counts as negligible and
+    the lists run to the cap.  Without ``r`` they always do.
     """
     p3, p2, p1 = _local_polynomials(data, center)
     if p3[0] == 0:
         raise DomainError(f"center {center!r} is a singular point")
     a = [complex(a0), complex(a1)]
     b = [complex(b0), complex(b1)]
+    if r is None:
+        r = limit = 0.0
+    else:
+        limit = 2.0**-56 * max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]))
+    power = r
+    quiet = 0
     for m in range(2, n_terms):
         i = m - 1
         w1 = i * (i - 1.0) * p3[1] + i * p2[0]
@@ -449,8 +470,17 @@ def _taylor_coefficients(
             acc_a += a[i] * w3
             acc_b += b[i] * w3
         den = m * (m - 1.0) * p3[0]
-        a.append(-acc_a / den)
-        b.append(-acc_b / den)
+        ca = -acc_a / den
+        cb = -acc_b / den
+        a.append(ca)
+        b.append(cb)
+        power *= r
+        if (abs(ca) + abs(cb)) * power < limit:
+            quiet += 1
+            if quiet == 3:
+                break
+        else:
+            quiet = 0
     return a, b
 
 
@@ -530,8 +560,12 @@ def continue_along_path(
     Initial conditions at ``path[0]`` are v1 = 1, v1' = 0 and v2 = 0,
     v2' = 1.  Each Taylor re-expansion step is at most ``step_fraction``
     times the distance to the nearest singular point; longer polyline
-    legs are subdivided automatically.  The Wronskian is tracked along
-    the way and compared with its closed form implied by the
+    legs are subdivided automatically.  ``n_terms`` caps the terms of a
+    step: its recurrence stops once three consecutive orders fall below
+    2^-56 of the step's scale max(|v1|, |v1'|, |v2|, |v2'|) at the step
+    length (see `_taylor_coefficients`), and a step whose last two terms
+    exceed 1e-9 of that scale raises StepError.  The Wronskian is tracked
+    along the way and compared with its closed form implied by the
     first-derivative coefficient; disagreement beyond 1e-8 raises
     StepError.
     """
@@ -556,6 +590,7 @@ def continue_along_path(
     w_exponents = (data.gamma, data.delta, data.epsilon)
     log_w_expected = 0.0j
     drift = 0.0
+    steps = terms = 0
 
     for leg_end in path[1:]:
         target = complex(leg_end)
@@ -570,18 +605,21 @@ def continue_along_path(
             if znext == zc:
                 raise StepError(f"step underflow near z = {zc!r}")
             zeta = znext - zc
+            r = abs(zeta)
 
-            c1, c2 = _taylor_coefficients(data, zc, v1, dv1, v2, dv2, n_terms)
+            c1, c2 = _taylor_coefficients(data, zc, v1, dv1, v2, dv2, n_terms, r)
+            n = len(c1)
+            steps += 1
+            terms += n
 
             # Convergence guard: the trailing terms must be negligible at
-            # zeta.  Their sum (|c_N| r + |c_N-1|) r^(N-1), r = |zeta|, is
-            # formed through logarithms, because r^n alone overflows on the
-            # long steps taken at tiny k; a sum that would overflow is
-            # capped far above the bound, and a nan fails it.
+            # zeta.  Their sum (|c_N| r + |c_N-1|) r^(N-1) is formed
+            # through logarithms, because r^n alone overflows on the long
+            # steps taken at tiny k; a sum that would overflow is capped
+            # far above the bound, and a nan fails it.
             scale = max(abs(v1), abs(dv1), abs(v2), abs(dv2), 1e-300)
-            r = abs(zeta)
             head = (abs(c1[-1]) + abs(c2[-1])) * r + abs(c1[-2]) + abs(c2[-2])
-            log_tail = math.log(head) + (n_terms - 2) * math.log(r) if head else -math.inf
+            log_tail = math.log(head) + (n - 2) * math.log(r) if head else -math.inf
             tail = math.exp(min(log_tail, 709.0))
             if not tail <= 1e-9 * scale:
                 raise StepError(
@@ -591,11 +629,11 @@ def continue_along_path(
 
             # Both series and their derivatives at zeta, by one Horner loop.
             v1 = dv1 = v2 = dv2 = 0.0j
-            for n in range(n_terms - 1, 0, -1):
-                v1 = v1 * zeta + c1[n]
-                dv1 = dv1 * zeta + n * c1[n]
-                v2 = v2 * zeta + c2[n]
-                dv2 = dv2 * zeta + n * c2[n]
+            for m in range(n - 1, 0, -1):
+                v1 = v1 * zeta + c1[m]
+                dv1 = dv1 * zeta + m * c1[m]
+                v2 = v2 * zeta + c2[m]
+                dv2 = dv2 * zeta + m * c2[m]
             v1 = v1 * zeta + c1[0]
             v2 = v2 * zeta + c2[0]
 
@@ -611,7 +649,9 @@ def continue_along_path(
                     f"Wronskian drifted by {drift!r} at z = {zc!r}; continuation unreliable"
                 )
 
-    return Continuation(v1=v1, dv1=dv1, v2=v2, dv2=dv2, wronskian_drift=drift)
+    return Continuation(
+        v1=v1, dv1=dv1, v2=v2, dv2=dv2, wronskian_drift=drift, steps=steps, terms=terms
+    )
 
 
 def coordinate_path(tau: float, k: float, *, start: float = 0.0) -> list[complex]:

@@ -369,8 +369,9 @@ def _reference_horner(c, zeta):
 def _reference_continuation(data, path, n_terms=heun.DEFAULT_N_TERMS, step_fraction=0.5):
     """(v1, v1', v2, v2', steps) by the step rule of `continue_along_path`.
 
-    Each member of the fundamental system is re-expanded on its own; the
-    guards are left out, so this only says what the values should be.
+    Each member of the fundamental system is re-expanded on its own and
+    every step sums all ``n_terms`` terms; the guards are left out, so
+    this only says what the values should be.
     """
     points = data.singular_points
     zc = complex(path[0])
@@ -419,15 +420,61 @@ class TestTaylorKernel:
                 series = heun.local_series(data, center, choice, n_terms=n_terms)
                 assert series.coefficients == tuple(_reference_taylor(data, center, *seed, n_terms))
 
-    @pytest.mark.parametrize("k", [0.05, 0.5, 0.95])
-    def test_continuation_bit_identical(self, k):
+    # Tiny k takes long steps; at step_fraction 0.01 the steps are so
+    # short that each derivative term m c_m r^(m-1) outweighs its value
+    # term c_m r^m, which alone decides where a step stops.
+    @pytest.mark.parametrize(
+        "k, step_fraction",
+        [(0.05, 0.5), (0.5, 0.5), (0.95, 0.5), (1e-8, 0.5), (1e-20, 0.5), (0.7, 0.01)],
+    )
+    def test_continuation_matches_full_length_sum(self, k, step_fraction):
         for h, delta, selection in ((0.3, 0.12, "---"), (0.2, -0.3, "+-+")):
             data = heun.heun_parameters(SimParams.from_detuning(h, delta, k), selection)
-            for tau, n_terms in ((0.7, 24), (6.0, 48)):
+            # 24 terms do not converge on the long steps of tiny k.
+            for tau, n_terms in ((0.7, 24 if k > 1e-3 else 48), (6.0, 48)):
                 path = heun.coordinate_path(tau, k)
-                cont = heun.continue_along_path(data, path, n_terms=n_terms)
-                want = _reference_continuation(data, path, n_terms)
-                assert (cont.v1, cont.dv1, cont.v2, cont.dv2) == want[:4]
+                cont = heun.continue_along_path(data, path, n_terms, step_fraction)
+                want = _reference_continuation(data, path, n_terms, step_fraction)[:4]
+                got = (cont.v1, cont.dv1, cont.v2, cont.dv2)
+                gap = max(abs(g - w) for g, w in zip(got, want))
+                assert gap <= 1e-14 * max(abs(w) for w in want)
+
+    @pytest.mark.parametrize(
+        "k, step_fraction", [(0.05, 0.5), (0.7, 0.5), (0.95, 0.5), (1e-20, 0.5), (0.7, 0.01)]
+    )
+    def test_counts_steps_and_terms(self, monkeypatch, k, step_fraction):
+        lengths = []
+        real = heun._taylor_coefficients
+
+        def recording(*args):
+            result = real(*args)
+            lengths.append(len(result[0]))
+            return result
+
+        data = heun.heun_parameters(SimParams.from_detuning(0.25, 0.1, k), "---")
+        path = heun.coordinate_path(9.0, k)
+        steps = _reference_continuation(data, path, step_fraction=step_fraction)[4]
+        monkeypatch.setattr(heun, "_taylor_coefficients", recording)
+        cont = heun.continue_along_path(data, path, step_fraction=step_fraction)
+        assert cont.steps == steps == len(lengths)
+        assert cont.terms == sum(lengths) <= heun.DEFAULT_N_TERMS * cont.steps
+
+    def test_steps_sum_about_half_the_cap(self):
+        data = heun.heun_parameters(SimParams.from_detuning(0.25, 0.1, 0.7), "---")
+        cont = heun.continue_along_path(data, heun.coordinate_path(9.0, 0.7))
+        assert cont.steps > 10
+        assert cont.terms / cont.steps <= 30
+
+    def test_early_stop_needs_finite_terms(self):
+        # A step length whose powers overflow, or a nan seed, never counts
+        # as negligible: the recurrence runs to the cap.
+        data = heun.heun_parameters(SimParams.from_detuning(0.3, 0.15, 0.5), "---")
+        center = -0.7 - 0.9j
+        full = heun._taylor_coefficients(data, center, 1.0, 0.0, 0.0, 1.0, 48)
+        assert len(heun._taylor_coefficients(data, center, 1.0, 0.0, 0.0, 1.0, 48, 0.1)[0]) < 48
+        assert heun._taylor_coefficients(data, center, 1.0, 0.0, 0.0, 1.0, 48, 1e300) == full
+        nan_seed = heun._taylor_coefficients(data, center, math.nan, 0.0, 0.0, 1.0, 48, 0.1)
+        assert len(nan_seed[0]) == 48
 
     def test_one_recurrence_per_step(self, monkeypatch):
         calls = []
@@ -518,9 +565,11 @@ class TestFlipProbability:
     def test_tiny_modulus_matches_ode(self, k):
         # The steps are so long here that |zeta|^n overflowed in the
         # series convergence guard; k = 1e-7 already agreed to 1e-10.
+        # tau 14 composes two loops.
         p = SimParams.from_detuning(0.3, 0.15, k)
-        direct = float(evolve(spin_up(), p, [0.0, 2.0]).p_flip[-1])
-        assert abs(heun.flip_probability_heun(2.0, p) - direct) < 1e-9
+        for tau in (2.0, 14.0):
+            direct = float(evolve(spin_up(), p, [0.0, tau]).p_flip[-1])
+            assert abs(heun.flip_probability_heun(tau, p) - direct) < 1e-9
 
     def test_modulus_too_small_for_the_series_fails_cleanly(self):
         # The coordinate reaches 1e100, its cube overflows in the series
