@@ -7,10 +7,14 @@ descending Landen / AGM amplitude recursion (DLMF 22.20(ii)).  The two
 degenerate moduli are served by their closed forms: trigonometric at
 ``k = 0`` and hyperbolic at ``k = 1``, where the AGM scheme loses meaning.
 
-`jacobi` evaluates one argument.  `_jacobi_grid` runs the same descent
-over a whole float array in numpy ufuncs for the sample-grid callers.
-numpy's transcendental functions may round differently from ``math``'s,
-so the two agree to a few units in the last place, not bit for bit.
+`_jacobi_evaluator` binds the scalar descent to one modulus, once: its
+closure maps an argument to (sn, cn, dn) from the cached tables, and
+hot callers with a fixed modulus (the rotating-frame right-hand side)
+call it directly.  `jacobi` checks one argument and modulus and calls
+that closure.  `_jacobi_grid` runs the same descent over a whole float
+array in numpy ufuncs for the sample-grid callers.  numpy's
+transcendental functions may round differently from ``math``'s, so the
+two agree to a few units in the last place, not bit for bit.
 
 All functions are pure and safe for concurrent use.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -104,8 +109,9 @@ def _sech(u: float) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
-def jacobi(u: float, k: float) -> EllipticTriple:
-    """Evaluate sn(u, k), cn(u, k), dn(u, k) for real u and k in [0, 1].
+@lru_cache(maxsize=256)
+def _jacobi_evaluator(k: float) -> Callable[[float], tuple[float, float, float]]:
+    """The map u -> (sn(u, k), cn(u, k), dn(u, k)) for one checked float modulus.
 
     The argument is reduced modulo the real period 4K before the Landen
     descent so that long arguments do not degrade the amplitude
@@ -114,40 +120,68 @@ def jacobi(u: float, k: float) -> EllipticTriple:
     that is a sum of non-negative terms, so it does not cancel where |sn|
     is near 1 and k near 1.  Its positive branch is the correct one for
     real argument and k in [0, 1].
+
+    Everything that depends on k alone (the tables, 4K, the ratios
+    c_n / a_n and k'^2) is computed here once.  Each is a leading
+    subexpression of the descent's left-to-right arithmetic, so hoisting
+    it changes no bits.  Cached per modulus; the closure takes a finite
+    float and does no checking.
+    """
+    if k == 0.0:
+        def at(u: float) -> tuple[float, float, float]:
+            return (math.sin(u), math.cos(u), 1.0)
+
+        return at
+    if k == 1.0:
+        # Pulse limit: the AGM scheme degenerates, the closed forms are exact.
+        def at(u: float) -> tuple[float, float, float]:
+            sech = _sech(u)
+            return (math.tanh(u), sech, sech)
+
+        return at
+
+    a_list, c_list, big_k = _amplitude_tables(k)
+    period = 4.0 * big_k
+    n_top = len(a_list) - 1
+    a_top = a_list[n_top]
+    ratios = tuple(c_list[n] / a_list[n] for n in range(n_top, 0, -1))
+    kp2 = (1.0 - k) * (1.0 + k)
+
+    def at(u: float) -> tuple[float, float, float]:
+        phi = math.ldexp(a_top * math.remainder(u, period), n_top)
+        for ratio in ratios:
+            s = ratio * math.sin(phi)
+            # Guard rounding excursions outside [-1, 1]; c_n < a_n
+            # guarantees the exact value is interior.  Comparisons rather
+            # than min/max calls, which took over half the descent's time;
+            # s is finite, so the two agree.
+            if s > 1.0:
+                s = 1.0
+            elif s < -1.0:
+                s = -1.0
+            phi = 0.5 * (phi + math.asin(s))
+        sn = math.sin(phi)
+        cn = math.cos(phi)
+        ksn = k * sn
+        if abs(ksn) <= 0.5:
+            return (sn, cn, math.sqrt((1.0 - ksn) * (1.0 + ksn)))
+        kcn = k * cn
+        return (sn, cn, math.sqrt(kp2 + kcn * kcn))
+
+    return at
+
+
+def jacobi(u: float, k: float) -> EllipticTriple:
+    """Evaluate sn(u, k), cn(u, k), dn(u, k) for real u and k in [0, 1].
+
+    Checks that u is finite and k lies in [0, 1], then evaluates through
+    `_jacobi_evaluator`'s closure for k (see there for the method).
     """
     u = float(u)
     if not math.isfinite(u):
         raise DomainError(f"argument must be finite, got {u!r}")
     k = _check_modulus(k, allow_one=True)
-
-    if k == 0.0:
-        return EllipticTriple(sn=math.sin(u), cn=math.cos(u), dn=1.0)
-    if k == 1.0:
-        # Pulse limit: the AGM scheme degenerates, the closed forms are exact.
-        sech = _sech(u)
-        return EllipticTriple(sn=math.tanh(u), cn=sech, dn=sech)
-
-    a_list, c_list, big_k = _amplitude_tables(k)
-    u = math.remainder(u, 4.0 * big_k)
-
-    n_top = len(a_list) - 1
-    phi = math.ldexp(a_list[n_top] * u, n_top)
-    for n in range(n_top, 0, -1):
-        s = c_list[n] / a_list[n] * math.sin(phi)
-        # Guard rounding excursions outside [-1, 1]; c_n < a_n guarantees
-        # the exact value is interior.
-        s = max(-1.0, min(1.0, s))
-        phi = 0.5 * (phi + math.asin(s))
-
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    ksn = k * sn
-    if abs(ksn) <= 0.5:
-        dn = math.sqrt((1.0 - ksn) * (1.0 + ksn))
-    else:
-        kcn = k * cn
-        dn = math.sqrt((1.0 - k) * (1.0 + k) + kcn * kcn)
-    return EllipticTriple(sn=sn, cn=cn, dn=dn)
+    return EllipticTriple(*_jacobi_evaluator(k)(u))
 
 
 def _jacobi_grid(u: np.ndarray, k: float) -> EllipticTriple:

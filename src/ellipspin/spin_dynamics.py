@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _dopri
 from ._dopri import MIN_TOL
-from .elliptic import EllipticTriple, _jacobi_grid, jacobi, quarter_period
+from .elliptic import EllipticTriple, _jacobi_evaluator, _jacobi_grid, jacobi, quarter_period
 from .errors import DomainError, IntegrationError
 
 # CODATA 2018: Bohr magneton [J/T] and reduced Planck constant [J s].
@@ -205,9 +205,16 @@ def rotating_rhs(
 
 
 def _bind_rotating(params: SimParams) -> _dopri.RHS:
+    """The rotating-frame rhs for ``params``, with everything but tau bound.
+
+    The generator a sigma_x + (D/w) dn(tau, k) sigma_z depends on tau
+    only through dn, and k is fixed for the whole integration, so the
+    closure calls `_jacobi_evaluator`'s map for k directly: one Landen
+    descent per call, with no per-call checks or `EllipticTriple`.
+    ``params.k`` was checked by `SimParams`.
+    """
     a = params.h_over_omega
     d0 = params.delta_over_omega
-    k = params.k
     if d0 == 0.0:
         # dn drops out entirely at resonance; keep the closure elliptic-free.
         def rhs(tau: float, p1: complex, p2: complex) -> tuple[complex, complex]:
@@ -215,8 +222,10 @@ def _bind_rotating(params: SimParams) -> _dopri.RHS:
 
         return rhs
 
+    at = _jacobi_evaluator(float(params.k))
+
     def rhs(tau: float, p1: complex, p2: complex) -> tuple[complex, complex]:
-        d = d0 * jacobi(tau, k).dn
+        d = d0 * at(tau)[2]
         return (-1j * (d * p1 + a * p2), -1j * (a * p1 - d * p2))
 
     return rhs

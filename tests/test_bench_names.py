@@ -11,6 +11,8 @@ source as they are, without importing the rest of the benchmark.
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,21 @@ _CALLED_BY_WORKLOADS = sorted(
 def test_name_exists(module, attr):
     mod = importlib.import_module(f"{_TRACING.PACKAGE}.{module}")
     assert callable(getattr(mod, attr, None)), f"{module}.{attr}"
+
+
+def test_wrapped_modules_are_imported_eagerly():
+    # The tracer wraps only modules already in sys.modules when a round
+    # starts, and the worker imports just the package and its cli.
+    modules = sorted({f"{_TRACING.PACKAGE}.{module}" for module, _ in _WRAPPED})
+    probe = f"import sys, {_TRACING.PACKAGE}, {_TRACING.PACKAGE}.cli; "
+    probe += f"print(*[m for m in {modules!r} if m not in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    missing = proc.stdout.split()
+    assert missing == [], (
+        f"{missing} not imported by the package and its cli: "
+        "a traced benchmark run would drop their per-layer names"
+    )
 
 
 def test_workload_names_are_read():

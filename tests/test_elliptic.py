@@ -13,13 +13,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import ellipspin.spin_dynamics as sd
 from ellipspin import (
     DomainError,
+    SimParams,
     jacobi,
     jacobi_identity_residuals,
     quarter_period,
 )
-from ellipspin.elliptic import _jacobi_grid
+from ellipspin.elliptic import _jacobi_evaluator, _jacobi_grid
 
 MODULI = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99]
 
@@ -169,10 +171,11 @@ class TestJacobi:
 
     @pytest.mark.parametrize("bad_u", [math.nan, math.inf, -math.inf])
     def test_nonfinite_argument_rejected(self, bad_u):
-        with pytest.raises(DomainError):
-            jacobi(bad_u, 0.5)
+        for k in (0.0, 0.5, 1.0):
+            with pytest.raises(DomainError):
+                jacobi(bad_u, k)
 
-    @pytest.mark.parametrize("bad_k", [-0.2, 1.2, math.nan])
+    @pytest.mark.parametrize("bad_k", [-5e-324, -0.2, 1.0 + 2.0**-52, 1.2, math.inf, math.nan])
     def test_bad_modulus_rejected(self, bad_k):
         with pytest.raises(DomainError):
             jacobi(0.3, bad_k)
@@ -186,6 +189,52 @@ class TestJacobi:
         r1, r2 = jacobi_identity_residuals(jacobi(u, k), k)
         assert r1 < 1e-12
         assert r2 < 1e-12
+
+
+def _bits(values) -> list[str]:
+    """Exact bit patterns, so that -0.0 and 0.0 differ."""
+    return [float(x).hex() for x in values]
+
+
+# 1 - 2^-53 is the largest double below 1; 5e-324 the smallest above 0.
+EVALUATOR_MODULI = [0.0, 5e-324, 0.3, 0.999, 1.0 - 2.0**-53, 1.0]
+
+
+def _evaluator_arguments(k: float) -> list[float]:
+    rng = np.random.default_rng(11)
+    us = rng.uniform(-1e3, 1e3, 400).tolist() + [0.0, -0.0, 1e300, -1e300]
+    big_k = quarter_period(k) if k < 1.0 else 1.0
+    us += [m * big_k for m in range(-8, 9)]
+    if k == 1.0:
+        us += [710.0, -710.0, 710.5, -745.0, 1e4]
+    return us
+
+
+class TestBoundEvaluator:
+    """`_jacobi_evaluator(k)` is `jacobi` bound to k: the same bits."""
+
+    @pytest.mark.parametrize("k", EVALUATOR_MODULI)
+    def test_matches_jacobi_bit_for_bit(self, k):
+        at = _jacobi_evaluator(k)
+        for u in _evaluator_arguments(k):
+            assert _bits(at(u)) == _bits(jacobi(u, k).as_tuple()), (u, k)
+
+    def test_cached_per_modulus(self):
+        assert _jacobi_evaluator(0.3) is _jacobi_evaluator(0.3)
+
+    @pytest.mark.parametrize("k", EVALUATOR_MODULI)
+    def test_rotating_rhs_uses_jacobi_dn_bit_for_bit(self, k):
+        params = SimParams.from_detuning(0.3, -0.2, k)
+        a, d0 = params.h_over_omega, params.delta_over_omega
+        rhs = sd._bind_rotating(params)
+        p1, p2 = complex(0.6, 0.1), complex(-0.2, 0.768114574786861)
+        for tau in _evaluator_arguments(k)[::7]:
+            d = d0 * jacobi(tau, k).dn
+            want = (-1j * (d * p1 + a * p2), -1j * (a * p1 - d * p2))
+            got = rhs(tau, p1, p2)
+            assert [_bits((z.real, z.imag)) for z in got] == [
+                _bits((z.real, z.imag)) for z in want
+            ], (tau, k)
 
 
 # Largest deviation allowed between a per-sample array and its scalar

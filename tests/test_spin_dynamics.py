@@ -358,13 +358,24 @@ class TestEvolveOnWholeGrid:
 
     def test_no_scalar_jacobi_per_sample(self, monkeypatch):
         # Seed 1's detuned simulate-dense input: the per-sample gauge
-        # factor made 20,722 jacobi calls for 721 rhs calls.
-        counts = {"jacobi": 0, "rhs": 0}
-        scalar_jacobi, integrate = sd.jacobi, _dopri.integrate
+        # factor made 20,722 jacobi calls for 721 rhs calls.  The rhs
+        # evaluates dn through the bound evaluator, once per call; no
+        # scalar `jacobi` call is left in the per-sample work.
+        counts = {"jacobi": 0, "evaluator": 0, "rhs": 0}
+        scalar_jacobi, evaluator, integrate = sd.jacobi, sd._jacobi_evaluator, _dopri.integrate
 
         def counting_jacobi(*args):
             counts["jacobi"] += 1
             return scalar_jacobi(*args)
+
+        def counting_evaluator(k):
+            at = evaluator(k)
+
+            def counted(u):
+                counts["evaluator"] += 1
+                return at(u)
+
+            return counted
 
         def counting_integrate(rhs, *args):
             def counted(t, y1, y2):
@@ -374,11 +385,13 @@ class TestEvolveOnWholeGrid:
             return integrate(counted, *args)
 
         monkeypatch.setattr(sd, "jacobi", counting_jacobi)
+        monkeypatch.setattr(sd, "_jacobi_evaluator", counting_evaluator)
         monkeypatch.setattr(_dopri, "integrate", counting_integrate)
         p = SimParams.from_detuning(0.2671, 0.1882, 0.6421)
         evolve(spin_up(), p, np.linspace(0.0, 14.0, 20001))
         assert 0 < counts["rhs"] < 2000
-        assert counts["jacobi"] <= counts["rhs"] + 2
+        assert counts["evaluator"] == counts["rhs"]
+        assert counts["jacobi"] == 0
 
 
 def _direct(initial, params, taus, tol=sd.DEFAULT_TOL):
